@@ -6,8 +6,8 @@
 //! same ERC20 Zipf workload the other artifacts use:
 //!
 //! * **ingest** — serve + one full replication round (3-node cluster,
-//!   quorum acks) per durability policy (`off`, `group-commit`),
-//!   against the unreplicated store-sink run as the baseline — the
+//!   quorum acks) against two unreplicated baselines, `volatile` (the
+//!   unit sink `()`) and `group-commit` (the store sink) — the
 //!   replication column divided by the unreplicated column is the
 //!   price of surviving machine loss;
 //! * **catch-up** — a follower of a large-state cluster (1M accounts
@@ -33,9 +33,9 @@ use std::time::Instant;
 use tokensync_bench::harness::host_json;
 use tokensync_bench::workloads::{funded_state, zipf_ops};
 use tokensync_core::shared::ShardedErc20;
-use tokensync_pipeline::{run_script_with_sink, BatchConfig, PipelineConfig};
+use tokensync_pipeline::{run_script, run_script_with_sink, BatchConfig, PipelineConfig};
 use tokensync_replica::{Cluster, ReplicaConfig, ReplicationStats};
-use tokensync_store::{Durability, Store, StoreConfig};
+use tokensync_store::{Store, StoreConfig};
 
 /// Zipf skew of the workload (the YCSB default the other benches use).
 const THETA: f64 = 0.6;
@@ -91,12 +91,8 @@ fn pipeline_cfg(n: usize) -> PipelineConfig {
     }
 }
 
-fn replica_cfg(n: usize, durability: Durability) -> ReplicaConfig {
+fn replica_cfg(n: usize) -> ReplicaConfig {
     ReplicaConfig {
-        store: StoreConfig {
-            durability,
-            ..StoreConfig::default()
-        },
         pipeline: pipeline_cfg(n),
         ..ReplicaConfig::default()
     }
@@ -139,53 +135,44 @@ fn measure_ingest(n: usize, ops: usize, ingest: &mut Vec<IngestCell>) {
     let workload = zipf_ops(n, ops, 0x4E_7A, THETA);
     let cfg = pipeline_cfg(n);
 
-    // Baselines: the same store sink on one machine, nothing shipped —
-    // `off` is the engine + sink plumbing with no persistence at all,
-    // `group-commit` is the local-durability serving mode replication
-    // builds on.
-    for (policy, durability) in [
-        ("off", Durability::Off),
-        ("group-commit", Durability::GroupCommit),
-    ] {
-        let mut best = f64::INFINITY;
-        for rep in 0..REPS {
-            let dir = scratch(&format!("solo-{policy}-{n}-{rep}"));
-            let token = ShardedErc20::from_state(initial.clone());
-            let mut store: Store<ShardedErc20> = Store::create(
-                &dir,
-                &initial,
-                StoreConfig {
-                    durability,
-                    ..StoreConfig::default()
-                },
-            )
-            .expect("create store");
-            let start = Instant::now();
-            let run = run_script_with_sink(&token, &workload, &cfg, &mut store);
-            best = best.min(ms(start));
-            assert_eq!(run.stats.ops as usize, workload.len());
-            store.close().expect("store close");
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        push_ingest(ingest, n, "unreplicated", policy, ops, best, None);
+    // Baselines on one machine, nothing shipped: `volatile` is the
+    // engine with no persistence at all, `group-commit` the store sink —
+    // the local-durability serving mode replication builds on.
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let token = ShardedErc20::from_state(initial.clone());
+        let start = Instant::now();
+        let run = run_script(&token, &workload, &cfg);
+        best = best.min(ms(start));
+        assert_eq!(run.stats.ops as usize, workload.len());
     }
+    push_ingest(ingest, n, "unreplicated", "volatile", ops, best, None);
+
+    let mut best = f64::INFINITY;
+    for rep in 0..REPS {
+        let dir = scratch(&format!("solo-{n}-{rep}"));
+        let token = ShardedErc20::from_state(initial.clone());
+        let mut store: Store<ShardedErc20> =
+            Store::create(&dir, &initial, StoreConfig::default()).expect("create store");
+        let start = Instant::now();
+        let run = run_script_with_sink(&token, &workload, &cfg, &mut store);
+        best = best.min(ms(start));
+        assert_eq!(run.stats.ops as usize, workload.len());
+        store.close().expect("store close");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    push_ingest(ingest, n, "unreplicated", "group-commit", ops, best, None);
 
     // Replicated: serve on the primary, then drain one full replication
     // round so every follower holds and applied the records — the
     // measured window includes shipping, follower fsyncs and quorum
-    // acks. (Replication tails the WAL, so it runs on group-commit.)
+    // acks.
     let mut best = f64::INFINITY;
     let mut repl = None;
     for rep in 0..REPS {
         let base = scratch(&format!("cluster-{n}-{rep}"));
-        let mut cluster: Cluster<ShardedErc20> = Cluster::new(
-            &base,
-            NODES,
-            &initial,
-            replica_cfg(n, Durability::GroupCommit),
-            7,
-        )
-        .expect("build cluster");
+        let mut cluster: Cluster<ShardedErc20> =
+            Cluster::new(&base, NODES, &initial, replica_cfg(n), 7).expect("build cluster");
         let start = Instant::now();
         let run = cluster.serve(&workload);
         cluster.pump();
@@ -203,14 +190,8 @@ fn measure_catch_up(n: usize, missed: usize, out: &mut Vec<CatchUpCell>) {
     let initial = funded_state(n);
     let workload = zipf_ops(n, missed, 0x11_B5, THETA);
     let base = scratch(&format!("catchup-{n}"));
-    let mut cluster: Cluster<ShardedErc20> = Cluster::new(
-        &base,
-        NODES,
-        &initial,
-        replica_cfg(n, Durability::GroupCommit),
-        13,
-    )
-    .expect("build cluster");
+    let mut cluster: Cluster<ShardedErc20> =
+        Cluster::new(&base, NODES, &initial, replica_cfg(n), 13).expect("build cluster");
 
     // The follower goes dark, misses the whole stretch, and returns.
     cluster.crash(2);
@@ -300,9 +281,9 @@ fn write_json(path: &Path, quick: bool, ingest: &[IngestCell], catch_up: &[Catch
         let replicated = find("replicated", "group-commit").ops_per_sec;
         let sep = if i + 1 < ns.len() { "," } else { "" };
         summary.push_str(&format!(
-            "    {{\"n\": {n}, \"replicated_over_off\": {:.3}, \
+            "    {{\"n\": {n}, \"replicated_over_volatile\": {:.3}, \
              \"replicated_over_group_commit\": {:.3}}}{sep}\n",
-            replicated / find("unreplicated", "off").ops_per_sec,
+            replicated / find("unreplicated", "volatile").ops_per_sec,
             replicated / find("unreplicated", "group-commit").ops_per_sec
         ));
     }
@@ -310,7 +291,7 @@ fn write_json(path: &Path, quick: bool, ingest: &[IngestCell], catch_up: &[Catch
     let json = format!(
         "{{\n  \"bench\": \"replica\",\n  {host},\n  \"config\": {{\"quick\": {quick}, \
          \"theta\": {THETA}, \"nodes\": {NODES}, \"ack_mode\": \"quorum\", \
-         \"durabilities\": [\"off\", \"group-commit\"]}},\n  \
+         \"durabilities\": [\"volatile\", \"group-commit\"]}},\n  \
          \"runs\": [\n{rows}  ],\n  \"catch_up\": [\n{catches}  ],\n  \
          \"summary\": [\n{summary}  ]\n}}\n"
     );

@@ -3,27 +3,21 @@
 //! Measures what crash-safety costs and what recovery buys, on the same
 //! ERC20 Zipf workload the other artifacts use, at n ∈ {1k, 1M}:
 //!
-//! * **ingest** — pipeline throughput per durability policy:
-//!   `volatile` (no sink at all), `off` (store sink wired, nothing
-//!   persisted — the sink-plumbing overhead), `group-commit` (append
-//!   every wave, one *inline* fsync per batch — the pre-pipelining
-//!   serving mode), `group-commit-pipelined` (appends return at commit,
-//!   a dedicated fsync thread batches syncs behind an explicit
-//!   `durable_seq()` watermark), `group-commit-incremental` (pipelined
-//!   fsyncs plus copy-on-write delta snapshots published off the hot
-//!   path — the intended serving mode) and `per-wave` (fsync every
-//!   wave — the paranoid bound). Durable rows time run **plus
-//!   `flush()`**, so every number is "all ops durable", not
-//!   "acknowledged but in flight";
+//! * **ingest** — pipeline throughput `volatile` (the unit sink `()`:
+//!   nothing persisted) against `group-commit` (the store sink: one WAL
+//!   record per batch, fsyncs coalesced on the durability thread behind
+//!   the `durable_seq()` watermark, delta snapshots published off the
+//!   hot path). The durable row times run **plus `flush()`**, so its
+//!   number is "all ops durable", not "acknowledged but in flight";
 //! * **recovery** — wall-clock to rebuild a live `ShardedErc20` from
-//!   the incremental run's directory, split into `snapshot_load_ms`
+//!   the durable run's directory, split into `snapshot_load_ms`
 //!   (chain resolution: full snapshot + delta links) and `replay_ms`
 //!   (verified WAL replay), in both `parallel` (footprint-partitioned
 //!   waves across a worker pool — the default) and `sequential`
 //!   (the oracle) modes, with the recovered state asserted equal to
 //!   the pre-crash object on every invocation.
 //!
-//! Every durable run carries a live `StoreObs` recorder, so each policy
+//! Every durable run carries a live `StoreObs` recorder, so the durable
 //! row also reports the WAL I/O it actually did — fsyncs, bytes,
 //! records, segment rolls, full + delta snapshots — and the
 //! append/fsync latency percentiles (p50/p99/p999).
@@ -51,62 +45,12 @@ use tokensync_pipeline::{
     run_script, run_script_with_sink, BatchConfig, PipelineConfig, PipelineRun,
 };
 use tokensync_spec::ProcessId;
-use tokensync_store::{
-    recover, recover_sequential, Durability, Recovered, Store, StoreConfig, StoreObs,
-};
+use tokensync_store::{recover, recover_sequential, Recovered, Store, StoreConfig, StoreObs};
 
 /// Zipf skew of the workload (the YCSB default the other benches use).
 const THETA: f64 = 0.6;
 /// Timed repetitions per cell (min taken).
 const REPS: usize = 3;
-
-/// One durable policy column: its name and the store knobs behind it.
-struct Policy {
-    name: &'static str,
-    durability: Durability,
-    pipeline_fsync: bool,
-    incremental_snapshots: bool,
-    /// Keep the last run's directory for the recovery measurement.
-    keep_for_recovery: bool,
-}
-
-const POLICIES: &[Policy] = &[
-    Policy {
-        name: "off",
-        durability: Durability::Off,
-        pipeline_fsync: false,
-        incremental_snapshots: false,
-        keep_for_recovery: false,
-    },
-    Policy {
-        name: "group-commit",
-        durability: Durability::GroupCommit,
-        pipeline_fsync: false,
-        incremental_snapshots: false,
-        keep_for_recovery: false,
-    },
-    Policy {
-        name: "group-commit-pipelined",
-        durability: Durability::GroupCommit,
-        pipeline_fsync: true,
-        incremental_snapshots: false,
-        keep_for_recovery: false,
-    },
-    Policy {
-        name: "group-commit-incremental",
-        durability: Durability::GroupCommit,
-        pipeline_fsync: true,
-        incremental_snapshots: true,
-        keep_for_recovery: true,
-    },
-    Policy {
-        name: "per-wave",
-        durability: Durability::PerWave,
-        pipeline_fsync: false,
-        incremental_snapshots: false,
-        keep_for_recovery: false,
-    },
-];
 
 /// WAL/snapshot I/O a durable run performed, read off its [`StoreObs`].
 struct IoStats {
@@ -182,16 +126,13 @@ fn pipeline_cfg(n: usize) -> PipelineConfig {
     }
 }
 
-fn store_cfg(policy: &Policy, ops: usize) -> StoreConfig {
+fn store_cfg(ops: usize) -> StoreConfig {
     StoreConfig {
-        durability: policy.durability,
         // A handful of snapshots per run: recovery loads the last one
         // and replays the tail, like a long-lived server would. The odd
         // offset keeps the last snapshot off the exact end of the run,
         // so the recovery measurement always includes real replay.
         snapshot_every_ops: (ops as u64 / 4 + 137).max(1),
-        pipeline_fsync: policy.pipeline_fsync,
-        incremental_snapshots: policy.incremental_snapshots,
         ..StoreConfig::default()
     }
 }
@@ -205,7 +146,6 @@ fn durable_run(
     initial: &Erc20State,
     workload: &[(ProcessId, Erc20Op)],
     cfg: &PipelineConfig,
-    policy: &Policy,
 ) -> (
     PipelineRun<Erc20Op, tokensync_core::erc20::Erc20Resp>,
     f64,
@@ -216,7 +156,7 @@ fn durable_run(
     let dir = scratch(tag);
     let token = ShardedErc20::from_state(initial.clone());
     let mut store: Store<ShardedErc20> =
-        Store::create(&dir, initial, store_cfg(policy, workload.len())).expect("create store");
+        Store::create(&dir, initial, store_cfg(workload.len())).expect("create store");
     store.set_obs(StoreObs::new(&Registry::new()));
     let start = Instant::now();
     let run = run_script_with_sink(&token, workload, cfg, &mut store);
@@ -320,111 +260,85 @@ fn measure(n: usize, ops: usize, ingest: &mut Vec<IngestCell>, recovery: &mut Ve
     }
     push_ingest(ingest, n, "volatile", ops, best, 0, None);
 
-    // Store sink per policy.
-    for policy in POLICIES {
-        let mut best = f64::INFINITY;
-        let mut wal_bytes = 0;
-        let mut io = None;
-        let mut keep: Option<(PathBuf, Erc20State)> = None;
-        for rep in 0..REPS {
-            let (run, run_ms, dir, bytes, rep_io) = durable_run(
-                &format!("{}-{n}-{rep}", policy.name),
-                &initial,
-                &workload,
-                &cfg,
-                policy,
-            );
-            best = best.min(run_ms);
-            wal_bytes = bytes;
-            io = Some(rep_io);
-            assert_eq!(run.stats.ops as usize, workload.len());
-            // Keep the last incremental directory for the recovery
-            // measurement; drop the others.
-            if policy.keep_for_recovery {
-                let token_state = run
-                    .log
-                    .replay(&tokensync_core::erc20::Erc20Spec::new(initial.clone()))
-                    .expect("commit log replays");
-                if let Some((old, _)) = keep.replace((dir, token_state)) {
-                    let _ = std::fs::remove_dir_all(old);
-                }
-            } else {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-        }
-        push_ingest(ingest, n, policy.name, ops, best, wal_bytes, io);
-
-        if let Some((dir, expected_state)) = keep {
-            // Recovery: rebuild the live object from disk alone, with
-            // the footprint-parallel default and the sequential oracle.
-            // One untimed warm-up first, so the two timed modes see the
-            // same page-cache and allocator state instead of the first
-            // mode paying the cold-read cost alone.
-            drop(recover_sequential::<ShardedErc20>(&dir).expect("warm-up recovery"));
-            // Interleave the reps of the two modes so environmental
-            // drift (page-cache eviction, allocator growth) lands on
-            // both equally instead of skewing whichever ran second;
-            // keep the best rep per mode.
-            const MODES: [&str; 2] = ["parallel", "sequential"];
-            let mut best: [Option<RecMeasure>; 2] = [None, None];
-            for _ in 0..REPS {
-                for (slot, &mode) in MODES.iter().enumerate() {
-                    let m = timed_recovery(&dir, &expected_state, workload.len(), mode);
-                    if best[slot]
-                        .as_ref()
-                        .map_or(true, |b| m.recover_ms < b.recover_ms)
-                    {
-                        best[slot] = Some(m);
-                    }
-                }
-            }
-            for (slot, &mode) in MODES.iter().enumerate() {
-                let m = best[slot].take().expect("at least one rep");
-                let cell = RecoveryCell {
-                    n,
-                    ops,
-                    mode,
-                    recover_ms: m.recover_ms,
-                    snapshot_load_ms: m.snapshot_load_ms,
-                    replay_ms: m.replay_ms,
-                    replayed: m.replayed,
-                    snapshot_watermark: m.snapshot_watermark,
-                    delta_links: m.delta_links,
-                    wal_bytes,
-                };
-                eprintln!(
-                    "  recover n={:>8} {:>10} {:>9.1}ms (chain@{} +{}d load={:.1}ms, {} replayed in {:.1}ms)",
-                    cell.n,
-                    cell.mode,
-                    cell.recover_ms,
-                    cell.snapshot_watermark,
-                    cell.delta_links,
-                    cell.snapshot_load_ms,
-                    cell.replayed,
-                    cell.replay_ms,
-                );
-                recovery.push(cell);
-            }
-            let _ = std::fs::remove_dir_all(dir);
+    // The store sink; its last run's directory is kept for recovery.
+    let mut best = f64::INFINITY;
+    let mut wal_bytes = 0;
+    let mut io = None;
+    let mut keep: Option<(PathBuf, Erc20State)> = None;
+    for rep in 0..REPS {
+        let (run, run_ms, dir, bytes, rep_io) = durable_run(
+            &format!("group-commit-{n}-{rep}"),
+            &initial,
+            &workload,
+            &cfg,
+        );
+        best = best.min(run_ms);
+        wal_bytes = bytes;
+        io = Some(rep_io);
+        assert_eq!(run.stats.ops as usize, workload.len());
+        let token_state = run
+            .log
+            .replay(&tokensync_core::erc20::Erc20Spec::new(initial.clone()))
+            .expect("commit log replays");
+        if let Some((old, _)) = keep.replace((dir, token_state)) {
+            let _ = std::fs::remove_dir_all(old);
         }
     }
-}
+    push_ingest(ingest, n, "group-commit", ops, best, wal_bytes, io);
 
-/// The pre-pipelining baseline (inline group commit, monolithic
-/// snapshots, sequential-only recovery), kept verbatim from the last
-/// artifact regenerated before this redesign so the delta is visible in
-/// the JSON itself.
-const PRIOR: &str = r#"{
-    "note": "pre-pipelining baseline: inline group commit, monolithic snapshots, sequential recovery (conflated recover_ms)",
-    "ingest_ops_per_sec": [
-      {"n": 1000, "volatile": 7681499, "group_commit": 1168126, "per_wave": 1296237},
-      {"n": 1000000, "volatile": 3794026, "group_commit": 165013, "per_wave": 156380}
-    ],
-    "recovery": [
-      {"n": 1000, "recover_ms": 40.996},
-      {"n": 1000000, "recover_ms": 797.851}
-    ]
-  }"#;
+    let (dir, expected_state) = keep.expect("at least one rep");
+    // Recovery: rebuild the live object from disk alone, with the
+    // footprint-parallel default and the sequential oracle. One untimed
+    // warm-up first, so the two timed modes see the same page-cache and
+    // allocator state instead of the first mode paying the cold-read
+    // cost alone.
+    drop(recover_sequential::<ShardedErc20>(&dir).expect("warm-up recovery"));
+    // Interleave the reps of the two modes so environmental drift
+    // (page-cache eviction, allocator growth) lands on both equally
+    // instead of skewing whichever ran second; keep the best rep per
+    // mode.
+    const MODES: [&str; 2] = ["parallel", "sequential"];
+    let mut best: [Option<RecMeasure>; 2] = [None, None];
+    for _ in 0..REPS {
+        for (slot, &mode) in MODES.iter().enumerate() {
+            let m = timed_recovery(&dir, &expected_state, workload.len(), mode);
+            if best[slot]
+                .as_ref()
+                .map_or(true, |b| m.recover_ms < b.recover_ms)
+            {
+                best[slot] = Some(m);
+            }
+        }
+    }
+    for (slot, &mode) in MODES.iter().enumerate() {
+        let m = best[slot].take().expect("at least one rep");
+        let cell = RecoveryCell {
+            n,
+            ops,
+            mode,
+            recover_ms: m.recover_ms,
+            snapshot_load_ms: m.snapshot_load_ms,
+            replay_ms: m.replay_ms,
+            replayed: m.replayed,
+            snapshot_watermark: m.snapshot_watermark,
+            delta_links: m.delta_links,
+            wal_bytes,
+        };
+        eprintln!(
+            "  recover n={:>8} {:>10} {:>9.1}ms (chain@{} +{}d load={:.1}ms, {} replayed in {:.1}ms)",
+            cell.n,
+            cell.mode,
+            cell.recover_ms,
+            cell.snapshot_watermark,
+            cell.delta_links,
+            cell.snapshot_load_ms,
+            cell.replayed,
+            cell.replay_ms,
+        );
+        recovery.push(cell);
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
 
 fn write_json(path: &Path, quick: bool, ingest: &[IngestCell], recovery: &[RecoveryCell]) {
     let mut rows = String::new();
@@ -478,9 +392,8 @@ fn write_json(path: &Path, quick: bool, ingest: &[IngestCell], recovery: &[Recov
             c.wal_bytes
         ));
     }
-    // Summary: the price of durability (each policy over volatile), the
-    // pipelining win over the inline baseline, and recovery throughput,
-    // per n.
+    // Summary: the price of durability (group commit over volatile) and
+    // recovery throughput, per n.
     let mut summary = String::new();
     let ns: Vec<usize> = {
         let mut ns: Vec<usize> = ingest.iter().map(|c| c.n).collect();
@@ -504,15 +417,10 @@ fn write_json(path: &Path, quick: bool, ingest: &[IngestCell], recovery: &[Recov
         let seq = rec("sequential");
         let sep = if i + 1 < ns.len() { "," } else { "" };
         summary.push_str(&format!(
-            "    {{\"n\": {n}, \"group_commit_over_volatile\": {:.3}, \
-             \"pipelined_over_inline\": {:.3}, \"incremental_over_inline\": {:.3}, \
-             \"per_wave_over_group_commit\": {:.3}, \"recover_ms\": {:.3}, \
+            "    {{\"n\": {n}, \"group_commit_over_volatile\": {:.3}, \"recover_ms\": {:.3}, \
              \"sequential_recover_ms\": {:.3}, \"parallel_replay_speedup\": {:.3}, \
              \"recovered_ops_per_sec\": {:.0}}}{sep}\n",
             find("group-commit").ops_per_sec / find("volatile").ops_per_sec,
-            find("group-commit-pipelined").ops_per_sec / find("group-commit").ops_per_sec,
-            find("group-commit-incremental").ops_per_sec / find("group-commit").ops_per_sec,
-            find("per-wave").ops_per_sec / find("group-commit").ops_per_sec,
             par.recover_ms,
             seq.recover_ms,
             seq.replay_ms / par.replay_ms.max(1e-9),
@@ -522,9 +430,7 @@ fn write_json(path: &Path, quick: bool, ingest: &[IngestCell], recovery: &[Recov
     let host = host_json();
     let json = format!(
         "{{\n  \"bench\": \"store\",\n  {host},\n  \"config\": {{\"quick\": {quick}, \
-         \"theta\": {THETA}, \"durabilities\": [\"volatile\", \"off\", \"group-commit\", \
-         \"group-commit-pipelined\", \"group-commit-incremental\", \"per-wave\"]}},\n  \
-         \"prior\": {PRIOR},\n  \
+         \"theta\": {THETA}, \"durabilities\": [\"volatile\", \"group-commit\"]}},\n  \
          \"runs\": [\n{rows}  ],\n  \"recovery\": [\n{recs}  ],\n  \"summary\": [\n{summary}  ]\n}}\n"
     );
     std::fs::write(path, json).expect("write benchmark JSON");

@@ -36,17 +36,18 @@ use crate::exec::{execute, execute_unordered, ExecConfig};
 use crate::obs::PipelineObs;
 use crate::schedule::{Schedule, ScheduleConfig, Scheduler};
 
-/// A durability hook on the commit stage: the engine hands every wave's
-/// committed entries to the sink the moment they enter the log, and
-/// signals each batch boundary (the group-commit cut).
+/// A durability hook on the commit stage: the engine hands every batch's
+/// committed entries to the sink as one record the moment they enter
+/// the log, and signals each batch boundary (the group-commit cut).
 ///
 /// The unit sink `()` is the volatile engine; `tokensync-store`'s
 /// `Store` implements this trait to stream the commit log into a
 /// write-ahead log with snapshots.
 pub trait CommitSink<T: ConcurrentObject + ?Sized> {
-    /// One committed wave (waves arrive in commit order; the serial lane
-    /// arrives last, as one group). `entries` is the contiguous slice of
-    /// the commit log this wave appended.
+    /// One committed record: everything a non-empty batch appended to
+    /// the commit log, in commit order (its waves in order, then the
+    /// serial lane; submission order for a bypassed batch). Records
+    /// arrive in commit order, at most one per batch.
     fn wave_committed(&mut self, token: &T, entries: &[CommittedOp<T::Op, T::Resp>]);
 
     /// [`wave_committed`](CommitSink::wave_committed) plus the routing
@@ -55,7 +56,7 @@ pub trait CommitSink<T: ConcurrentObject + ?Sized> {
     /// (same permutation into commit order), or is empty when the batch
     /// carried no tickets (the synchronous [`run_script`] paths). A
     /// response-routing sink overrides this to resolve per-request
-    /// futures at wave commit; every other sink keeps the default,
+    /// futures at commit; every other sink keeps the default,
     /// which drops the tickets and forwards to `wave_committed` — so
     /// ack-at-commit semantics cost existing sinks nothing.
     ///
@@ -216,15 +217,6 @@ pub struct PipelineConfig {
     pub exec: ExecConfig,
     /// Adaptive-bypass policy.
     pub bypass: BypassConfig,
-    /// Whether to fuse a batch's committed waves into a single
-    /// [`CommitSink::wave_committed`] record (the commit order is
-    /// identical either way — waves in order, then the serial lane — so
-    /// fusion changes durability *granularity*, not the linearization:
-    /// the disjoint regime pays one WAL record per batch instead of one
-    /// per wave). `false` restores the PR-5 record-per-wave behavior,
-    /// which also narrows `Durability::PerWave` syncs back to single
-    /// waves.
-    pub fuse_waves: bool,
 }
 
 impl Default for PipelineConfig {
@@ -234,7 +226,6 @@ impl Default for PipelineConfig {
             schedule: ScheduleConfig::default(),
             exec: ExecConfig::default(),
             bypass: BypassConfig::default(),
-            fuse_waves: true,
         }
     }
 }
@@ -266,9 +257,8 @@ pub struct PipelineStats {
     /// low-conflict and fell back to the full scheduled path (from its
     /// intake buffer — nothing had executed yet).
     pub bypass_aborts: u64,
-    /// `CommitSink::wave_committed` records emitted: with wave fusion
-    /// one per non-empty batch, without it one per non-empty wave plus
-    /// one for a non-empty serial lane.
+    /// `CommitSink::wave_committed` records emitted: one per non-empty
+    /// batch (a batch's waves and serial lane commit as one record).
     pub commit_records: u64,
     /// The sink's [`durable_seq`](CommitSink::durable_seq) sampled when
     /// the run ended — `None` for sinks without one. Compared against
@@ -429,41 +419,19 @@ fn process_batch<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
     );
     let start = run.log.append_batch(seq, ops, &responses, &plan);
     clock.lap(Stage::Commit);
-    // The appended slice is waves in order, then the serial lane: one
-    // fused record for the whole batch, or (unfused) one contiguous
-    // group per wave. The tickets follow the entries through the same
-    // permutation so `tagged[i]` still names `committed[i]`'s producer.
+    // The appended slice is waves in order, then the serial lane, and
+    // goes to the sink as one record. The tickets follow the entries
+    // through the same permutation so `tagged[i]` still names
+    // `committed[i]`'s producer.
     let committed = &run.log.entries()[start..];
-    let tagged: Vec<u64> = if tickets.is_empty() {
-        Vec::new()
-    } else {
-        plan.commit_order().map(|idx| tickets[idx]).collect()
-    };
-    if cfg.fuse_waves {
-        if !committed.is_empty() {
-            sink.wave_committed_tagged(token, committed, &tagged);
-            run.stats.commit_records += 1;
-        }
-    } else {
-        let mut cursor = 0usize;
-        for len in plan
-            .waves
-            .iter()
-            .map(Vec::len)
-            .chain(std::iter::once(plan.serial.len()))
-        {
-            if len > 0 {
-                let slice = cursor..cursor + len;
-                let wave_tags = if tagged.is_empty() {
-                    &[]
-                } else {
-                    &tagged[slice.clone()]
-                };
-                sink.wave_committed_tagged(token, &committed[slice], wave_tags);
-                run.stats.commit_records += 1;
-                cursor += len;
-            }
-        }
+    if !committed.is_empty() {
+        let tagged: Vec<u64> = if tickets.is_empty() {
+            Vec::new()
+        } else {
+            plan.commit_order().map(|idx| tickets[idx]).collect()
+        };
+        sink.wave_committed_tagged(token, committed, &tagged);
+        run.stats.commit_records += 1;
     }
     sink.batch_sealed(token, seq);
     clock.lap(Stage::Seal);

@@ -79,6 +79,43 @@ where
     assert_eq!(object.snapshot(), sequential);
 }
 
+/// A fixed ERC721 script: owner-disjoint transfers with a contended
+/// claim on token 0 every fifth op, so batches mix wide waves with a
+/// serialized race.
+#[test]
+fn erc721_contended_claims_among_disjoint_transfers() {
+    let n = 16;
+    let mut initial = Erc721State::minted_round_robin(n, 64, n);
+    for i in 1..n {
+        initial.set_operator(p(0), p(i), true);
+    }
+    let script: Vec<(ProcessId, Erc721Op)> = (0..40)
+        .map(|i| {
+            if i % 5 == 4 {
+                (
+                    p(1 + (i % 7)),
+                    Erc721Op::TransferFrom {
+                        from: p(0),
+                        to: p(1 + (i % 7)),
+                        token: TokenId::new(0),
+                    },
+                )
+            } else {
+                (
+                    p(i % n),
+                    Erc721Op::TransferFrom {
+                        from: p(i % n),
+                        to: p((i + 1) % n),
+                        token: TokenId::new(i % n),
+                    },
+                )
+            }
+        })
+        .collect();
+    let nft = ShardedErc721::from_state(initial.clone());
+    check_pipeline(&nft, &Erc721Spec::new(initial), &script, 10);
+}
+
 const N: usize = 5;
 const SPAN: usize = 8;
 const TYPES: usize = 3;

@@ -1,5 +1,5 @@
-//! Accounting identities of [`PipelineStats`], locked down across the
-//! {bypass} × {fusion} config matrix on three contention regimes.
+//! Accounting identities of [`PipelineStats`], locked down with the
+//! bypass off and on, on three contention regimes.
 //!
 //! The invariants:
 //!
@@ -9,18 +9,19 @@
 //!   `bypassed_batches <= batches` — the bypass path is a subset of
 //!   the parallel route;
 //! * `commit_records` arithmetic: what the engine counted is exactly
-//!   what the sink saw; fused, one record per (non-empty) batch;
-//!   unfused, one per non-empty wave plus one per non-empty serial
-//!   lane, which brackets to `waves <= records <= waves + batches`;
+//!   what the sink saw — one record per (non-empty) batch, spanning the
+//!   whole batch, on the scheduled and the bypass path alike;
 //! * the sink sees every op exactly once (`entries == ops`) and every
 //!   batch seal exactly once (`seals == batches`);
 //! * with the bypass disabled, every bypass counter is zero;
-//! * the committed result is identical across all four configs.
+//! * the committed result is identical across both configs, and the
+//!   commit log replays against the sequential oracle.
 
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ConcurrentToken, ShardedErc20};
 use tokensync_pipeline::{
     run_script_with_sink, BatchConfig, BypassConfig, CommitSink, CommittedOp, PipelineConfig,
+    PipelineStats,
 };
 use tokensync_spec::{AccountId, ProcessId};
 
@@ -34,23 +35,22 @@ fn a(i: usize) -> AccountId {
 /// Counts exactly what crosses the sink seam.
 #[derive(Default)]
 struct CountingSink {
-    records: u64,
-    entries: u64,
+    /// Length of every record, in arrival order.
+    record_lens: Vec<usize>,
     seals: u64,
 }
 
 impl<T: ConcurrentObject + ?Sized> CommitSink<T> for CountingSink {
     fn wave_committed(&mut self, _token: &T, entries: &[CommittedOp<T::Op, T::Resp>]) {
         assert!(!entries.is_empty(), "engine must not emit empty records");
-        self.records += 1;
-        self.entries += entries.len() as u64;
+        self.record_lens.push(entries.len());
     }
     fn batch_sealed(&mut self, _token: &T, _batch: u64) {
         self.seals += 1;
     }
 }
 
-fn cfg(max_ops: usize, bypass: bool, fuse: bool) -> PipelineConfig {
+fn cfg(max_ops: usize, bypass: bool) -> PipelineConfig {
     PipelineConfig {
         batch: BatchConfig {
             max_ops,
@@ -60,7 +60,6 @@ fn cfg(max_ops: usize, bypass: bool, fuse: bool) -> PipelineConfig {
             enabled: bypass,
             ..BypassConfig::default()
         },
-        fuse_waves: fuse,
         ..PipelineConfig::default()
     }
 }
@@ -120,79 +119,81 @@ fn hotrow_script(n: usize) -> (Erc20State, Vec<(ProcessId, Erc20Op)>) {
     (state, script)
 }
 
-fn check_matrix(name: &str, state: &Erc20State, script: &[(ProcessId, Erc20Op)], max_ops: usize) {
-    let expected_batches = script.len().div_ceil(max_ops) as u64;
+/// Runs `script` with the bypass off and on, checks every identity, and
+/// returns the two runs' stats (bypass off first).
+fn check_matrix(
+    name: &str,
+    state: &Erc20State,
+    script: &[(ProcessId, Erc20Op)],
+    max_ops: usize,
+) -> [PipelineStats; 2] {
+    // One record per batch, each spanning the whole batch.
+    let batch_lens: Vec<usize> = script.chunks(max_ops).map(<[_]>::len).collect();
     let mut final_states = Vec::new();
+    let mut stats = Vec::new();
     for bypass in [false, true] {
-        for fuse in [false, true] {
-            let case = format!("{name} bypass={bypass} fuse={fuse}");
-            let token = ShardedErc20::from_state(state.clone());
-            let mut sink = CountingSink::default();
-            let run = run_script_with_sink(&token, script, &cfg(max_ops, bypass, fuse), &mut sink);
-            let s = run.stats;
+        let case = format!("{name} bypass={bypass}");
+        let token = ShardedErc20::from_state(state.clone());
+        let mut sink = CountingSink::default();
+        let run = run_script_with_sink(&token, script, &cfg(max_ops, bypass), &mut sink);
+        let s = run.stats;
 
-            // Route partition.
-            assert_eq!(s.ops, script.len() as u64, "{case}: ops");
-            assert_eq!(s.ops, s.parallel_ops + s.serial_ops, "{case}: partition");
-            assert_eq!(s.batches, expected_batches, "{case}: batches");
+        // Route partition.
+        assert_eq!(s.ops, script.len() as u64, "{case}: ops");
+        assert_eq!(s.ops, s.parallel_ops + s.serial_ops, "{case}: partition");
+        assert_eq!(s.batches, batch_lens.len() as u64, "{case}: batches");
 
-            // Bypass is a subset of the parallel route.
-            assert!(
-                s.bypassed_ops <= s.parallel_ops,
-                "{case}: bypass ⊆ parallel"
+        // Bypass is a subset of the parallel route.
+        assert!(
+            s.bypassed_ops <= s.parallel_ops,
+            "{case}: bypass ⊆ parallel"
+        );
+        assert!(s.bypassed_batches <= s.batches, "{case}: bypass batches");
+        if !bypass {
+            assert_eq!(
+                (s.bypassed_batches, s.bypassed_ops, s.bypass_aborts),
+                (0, 0, 0),
+                "{case}: bypass off must count nothing"
             );
-            assert!(s.bypassed_batches <= s.batches, "{case}: bypass batches");
-            if !bypass {
-                assert_eq!(
-                    (s.bypassed_batches, s.bypassed_ops, s.bypass_aborts),
-                    (0, 0, 0),
-                    "{case}: bypass off must count nothing"
-                );
-            }
-
-            // The sink saw exactly what the stats claim.
-            assert_eq!(sink.records, s.commit_records, "{case}: records");
-            assert_eq!(sink.entries, s.ops, "{case}: entries exactly once");
-            assert_eq!(sink.seals, s.batches, "{case}: seals");
-
-            // Record-count arithmetic. Every batch here is non-empty.
-            if fuse {
-                assert_eq!(s.commit_records, s.batches, "{case}: fused = per batch");
-            } else {
-                assert!(s.commit_records >= s.waves, "{case}: unfused >= waves");
-                assert!(
-                    s.commit_records <= s.waves + s.batches,
-                    "{case}: unfused <= waves + serial lanes"
-                );
-            }
-
-            final_states.push((case, token.state_snapshot()));
         }
+
+        // The sink saw exactly what the stats claim: every op once, one
+        // record and one seal per batch.
+        assert_eq!(sink.record_lens, batch_lens, "{case}: record per batch");
+        assert_eq!(
+            sink.record_lens.len() as u64,
+            s.commit_records,
+            "{case}: records"
+        );
+        assert_eq!(s.commit_records, s.batches, "{case}: records = batches");
+        assert_eq!(sink.seals, s.batches, "{case}: seals");
+
+        // The commit log replays against the sequential oracle.
+        let replayed = run
+            .log
+            .replay(&Erc20Spec::new(state.clone()))
+            .expect("consistent responses");
+        assert_eq!(replayed, token.state_snapshot(), "{case}: replay");
+
+        final_states.push((case, token.state_snapshot()));
+        stats.push(s);
     }
     // Same input, same committed state, regardless of config.
-    let (first_case, first) = &final_states[0];
-    for (case, st) in &final_states[1..] {
-        assert_eq!(st, first, "{case} diverged from {first_case}");
-    }
-    // And the whole thing replays against the sequential oracle.
-    let token = ShardedErc20::from_state(state.clone());
-    let run = run_script_with_sink(
-        &token,
-        script,
-        &cfg(max_ops, true, true),
-        &mut CountingSink::default(),
+    assert_eq!(
+        final_states[0].1, final_states[1].1,
+        "{} diverged from {}",
+        final_states[1].0, final_states[0].0
     );
-    let replayed = run
-        .log
-        .replay(&Erc20Spec::new(state.clone()))
-        .expect("consistent responses");
-    assert_eq!(replayed, token.state_snapshot());
+    [stats[0], stats[1]]
 }
 
 #[test]
 fn disjoint_regime_identities() {
     let (state, script) = disjoint_script(256);
-    check_matrix("disjoint", &state, &script, 64);
+    let [_, bypassed] = check_matrix("disjoint", &state, &script, 64);
+    // Fully disjoint traffic rides the bypass on every batch, and each
+    // bypassed batch still commits as one whole-batch record.
+    assert_eq!(bypassed.bypassed_batches, bypassed.batches);
 }
 
 #[test]

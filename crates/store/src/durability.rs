@@ -21,9 +21,13 @@
 //! prefix, so delta/full publishes advance the durable watermark too —
 //! even when the corresponding WAL tail was never fsynced.
 //!
-//! Errors park in the shared slot (the store surfaces them on its next
-//! call) and the thread keeps draining its queue so shutdown never
-//! hangs.
+//! The thread is **fail-stop**. The first error parks in the shared
+//! slot (the store surfaces it on its next call) and from then on
+//! nothing advances the durable watermark again: after a failed
+//! `sync_data` the kernel may have dropped the dirty pages and marked
+//! them clean, so a later sync that succeeds proves nothing about
+//! them. The thread keeps draining its queue, dropping the work, so
+//! shutdown never hangs.
 
 use std::fs::File;
 use std::path::PathBuf;
@@ -33,6 +37,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use tokensync_core::codec::{Codec, StateCodec};
+use tokensync_obs::Stage;
 use tokensync_spec::ObjectType;
 
 use crate::error::StoreError;
@@ -44,8 +49,13 @@ use crate::wal::read_entries;
 /// Work posted to the durability thread.
 pub(crate) enum DurMsg<T: Restorable> {
     /// Make the log durable up to `target`: `sync_data` on `file` (a
-    /// handle to the WAL tail segment at post time).
-    Sync { target: u64, file: File },
+    /// handle to the WAL tail segment at post time). `batch` names the
+    /// sealed batch that posted it, for the `Fsync` span.
+    Sync {
+        target: u64,
+        file: File,
+        batch: Option<u64>,
+    },
     /// Publish an incremental snapshot: `delta` holds every row touched
     /// since the previous drain, bringing the chain to `watermark`.
     Delta { watermark: u64, delta: T::Delta },
@@ -76,6 +86,9 @@ pub(crate) struct DurShared {
     /// Crash-simulation switch: queued work is dropped, durability
     /// freezes where it is.
     kill: AtomicBool,
+    /// Set by the first parked error and never cleared: the durable
+    /// watermark is frozen and queued work is dropped.
+    failed: AtomicBool,
     /// First background error, parked for the store handle.
     err: Mutex<Option<StoreError>>,
     /// Signals durable-watermark advances and parked errors.
@@ -88,6 +101,7 @@ impl DurShared {
             durable: AtomicU64::new(durable),
             gc_floor: AtomicU64::new(0),
             kill: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
             err: Mutex::new(None),
             cv: Condvar::new(),
         }
@@ -103,8 +117,12 @@ impl DurShared {
         self.gc_floor.load(Ordering::Acquire)
     }
 
-    /// Raises the durable watermark (monotone) and wakes waiters.
+    /// Raises the durable watermark (monotone) and wakes waiters — unless
+    /// an error has been parked: a failed store never advances again.
     pub(crate) fn advance(&self, to: u64) {
+        if self.failed.load(Ordering::Acquire) {
+            return;
+        }
         self.durable.fetch_max(to, Ordering::AcqRel);
         // Lock-then-notify so a waiter between its check and its wait
         // cannot miss the advance.
@@ -116,8 +134,9 @@ impl DurShared {
         self.gc_floor.fetch_max(floor, Ordering::AcqRel);
     }
 
-    pub(crate) fn killed(&self) -> bool {
-        self.kill.load(Ordering::Acquire)
+    /// Killed or failed: queued work is dropped from now on.
+    fn stopped(&self) -> bool {
+        self.kill.load(Ordering::Acquire) || self.failed.load(Ordering::Acquire)
     }
 
     pub(crate) fn kill(&self) {
@@ -126,8 +145,10 @@ impl DurShared {
         self.cv.notify_all();
     }
 
-    /// Parks `e` (first error wins) and wakes waiters.
+    /// Parks `e` (first error wins), stops the watermark for good, and
+    /// wakes waiters.
     fn park(&self, e: StoreError) {
+        self.failed.store(true, Ordering::Release);
         let mut slot = self.err.lock().expect("durability slot poisoned");
         if slot.is_none() {
             *slot = Some(e);
@@ -142,7 +163,7 @@ impl DurShared {
     }
 
     /// Blocks until the durable watermark reaches `seq`. `Err` means
-    /// the thread parked an error (or was killed) — the caller polls
+    /// the thread failed (or was killed) — the caller polls
     /// [`DurShared::take_error`] for the cause.
     pub(crate) fn wait_durable(&self, seq: u64) -> Result<(), ()> {
         let mut slot = self.err.lock().expect("durability slot poisoned");
@@ -150,7 +171,7 @@ impl DurShared {
             if self.durable.load(Ordering::Acquire) >= seq {
                 return Ok(());
             }
-            if slot.is_some() || self.killed() {
+            if self.stopped() {
                 return Err(());
             }
             slot = self.cv.wait(slot).expect("durability slot poisoned");
@@ -246,16 +267,18 @@ where
             }
             // Coalesce fsyncs: post order is monotone in target, so the
             // last queued handle covers them all — one sync_data
-            // acknowledges every batch behind it.
-            let mut sync: Option<(u64, File)> = None;
+            // acknowledges every batch behind it (and its span goes to
+            // the newest sealed batch it covers).
+            let mut sync: Option<(u64, File, Option<u64>)> = None;
             for msg in queue.drain(..) {
-                if self.shared.killed() {
-                    // Crash simulation: drop work, unblock publishers.
+                if self.shared.stopped() {
+                    // Crash simulation or an earlier failure: drop work,
+                    // unblock publishers.
                     match msg {
                         DurMsg::Full { ack, .. } => {
                             let _ = ack.send(Err(StoreError::Io(std::io::Error::new(
                                 std::io::ErrorKind::Interrupted,
-                                "durability thread killed",
+                                "durability thread stopped: killed or failed earlier",
                             ))));
                         }
                         DurMsg::Shutdown => break 'serve,
@@ -264,7 +287,14 @@ where
                     continue;
                 }
                 match msg {
-                    DurMsg::Sync { target, file } => sync = Some((target, file)),
+                    DurMsg::Sync {
+                        target,
+                        file,
+                        batch,
+                    } => {
+                        let batch = batch.or(sync.and_then(|(_, _, b)| b));
+                        sync = Some((target, file, batch));
+                    }
                     DurMsg::Delta { watermark, delta } => self.publish_delta(watermark, &delta),
                     DurMsg::Full {
                         watermark,
@@ -276,27 +306,30 @@ where
                     }
                     DurMsg::SetObs(obs) => self.obs = obs,
                     DurMsg::Shutdown => {
-                        if let Some((target, file)) = sync.take() {
-                            self.do_sync(target, &file);
+                        if let Some((target, file, batch)) = sync.take() {
+                            self.do_sync(target, &file, batch);
                         }
                         break 'serve;
                     }
                 }
             }
-            if let Some((target, file)) = sync {
-                self.do_sync(target, &file);
+            if let Some((target, file, batch)) = sync {
+                self.do_sync(target, &file, batch);
             }
         }
     }
 
-    fn do_sync(&mut self, target: u64, file: &File) {
-        if self.shared.killed() || self.shared.durable() >= target {
+    fn do_sync(&mut self, target: u64, file: &File, batch: Option<u64>) {
+        if self.shared.stopped() || self.shared.durable() >= target {
             return;
         }
         let started = self.obs.clock();
         match file.sync_data() {
             Ok(()) => {
                 self.obs.record_fsync(started);
+                if let Some(batch) = batch {
+                    self.obs.span(batch, Stage::Fsync, started);
+                }
                 self.shared.advance(target);
                 self.obs.record_durable(self.shared.durable());
             }
@@ -398,5 +431,70 @@ where
         self.shared.advance(watermark);
         self.obs.record_durable(self.shared.durable());
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use tokensync_core::erc20::Erc20State;
+    use tokensync_core::shared::ShardedErc20;
+
+    use super::*;
+
+    /// The fsyncgate failure mode: once a `sync_data` has failed, a
+    /// later sync that succeeds proves nothing about the pages the
+    /// kernel may have dropped, so the watermark must never move again.
+    #[test]
+    fn a_failed_sync_freezes_the_durable_watermark() {
+        let dir = std::env::temp_dir().join(format!(
+            "tokensync-durability-failstop-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let shared = Arc::new(DurShared::new(3));
+        let dur = spawn::<ShardedErc20>(
+            dir.clone(),
+            0,
+            Erc20State::from_balances(vec![1; 2]),
+            0,
+            1,
+            1,
+            StoreObs::disabled(),
+            Arc::clone(&shared),
+        );
+
+        // `fdatasync` on /dev/null fails (EINVAL on Linux).
+        let dev_null = File::open("/dev/null").unwrap();
+        dur.tx
+            .send(DurMsg::Sync {
+                target: 5,
+                file: dev_null,
+                batch: None,
+            })
+            .unwrap();
+        assert!(
+            shared.wait_durable(5).is_err(),
+            "the failed sync must park an error"
+        );
+
+        // A sync on a real, written file succeeds — and still must not
+        // advance the watermark.
+        let mut file = File::create(dir.join("written")).unwrap();
+        file.write_all(b"bytes").unwrap();
+        dur.tx
+            .send(DurMsg::Sync {
+                target: 10,
+                file,
+                batch: None,
+            })
+            .unwrap();
+        dur.tx.send(DurMsg::Shutdown).unwrap();
+        dur.handle.join().unwrap();
+
+        assert_eq!(shared.durable(), 3, "durable_seq moved after a failed sync");
+        assert!(shared.take_error().is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,8 +15,8 @@
 //! Hobor's concurrent-object reading of contracts; see PAPERS.md).
 //!
 //! Durability runs **off the hot path**: each store owns a background
-//! durability thread. Under the default pipelined group commit, batch
-//! seals *post* their fsync and return — the thread coalesces a backlog
+//! durability thread. Batch seals *post* their fsync and return — the
+//! thread coalesces a backlog
 //! into one `sync_data` and advances the explicit
 //! [`Store::durable_seq`] watermark (acknowledge-at-commit,
 //! durable-at-fsync; [`Store::wait_durable`]/[`Store::flush`] close the
@@ -39,24 +39,27 @@
 //! [`ShardedErc1155`](tokensync_core::standards::erc1155::ShardedErc1155):
 //!
 //! * [`wal`] — segment files of length-prefixed, CRC32-framed records;
-//!   one record per committed wave; torn tails truncated on open.
-//! * snapshots ([`Store::publish_snapshot`]) — versioned,
-//!   standard-tagged encodings of the full oracle state, published by
-//!   atomic rename; log segments below the snapshot watermark are
-//!   garbage-collected.
+//!   one record per committed batch; torn tails truncated on open.
+//! * snapshots — versioned, standard-tagged encodings of the oracle
+//!   state (full `.snap` files and chained `.delta` links), published
+//!   by atomic rename; log segments below the oldest kept full
+//!   snapshot are garbage-collected.
 //! * [`recover`] — newest valid snapshot + verified replay of the log
 //!   suffix through the standard's sequential oracle (every recorded
 //!   response is checked) → a live sharded object.
 //!
-//! Durability is a policy, not a rewrite: [`Store`] implements the
+//! Durability is a sink, not a rewrite: [`Store`] implements the
 //! pipeline's [`CommitSink`](tokensync_pipeline::CommitSink), so the
-//! same engine runs volatile ([`Durability::Off`]), fsyncing every wave
-//! ([`Durability::PerWave`]), or riding the existing batch cuts with
-//! one fsync per batch ([`Durability::GroupCommit`]).
+//! same engine runs volatile (the unit sink `()`) or durable, riding
+//! the existing batch cuts with at most one fsync per batch (group
+//! commit). There is one durable behaviour; [`StoreConfig`] only sizes
+//! it. The store is **fail-stop**: after the first write or sync error
+//! it stops writing, and its durable watermark never moves again,
+//! until the directory is reopened.
 //!
 //! The crash-safety contract — for *any* kill point, recovery yields
-//! the state of a **prefix** of the committed history, and with
-//! group-commit at most the final batch is lost — is property-tested in
+//! the state of a **prefix** of the committed history, and at most the
+//! batches above [`Store::durable_seq`] are lost — is property-tested in
 //! `tests/crash_recovery.rs` by truncating WAL bytes at random offsets
 //! and replaying the prefix oracle; docs/persistence.md walks the
 //! formats and invariants.
@@ -88,5 +91,5 @@ pub use recovery::{
     recover, recover_sequential, recover_with, RecoverOptions, Recovered, Restorable,
 };
 pub use snapshot::{install_snapshot, read_latest_snapshot};
-pub use store::{Durability, Store, StoreConfig};
+pub use store::{Store, StoreConfig};
 pub use wal::{decode_commits, ScanStop};

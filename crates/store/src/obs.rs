@@ -82,7 +82,7 @@ impl StoreObs {
                 records_appended: registry.counter(
                     "tokensync_store_records_appended_total",
                     &[],
-                    "WAL records appended (one per committed wave or shipped frame).",
+                    "WAL records appended (one per committed batch or shipped frame).",
                 ),
                 segments_created: registry.counter(
                     "tokensync_store_segments_created_total",

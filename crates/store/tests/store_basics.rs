@@ -1,6 +1,6 @@
-//! Deterministic behaviour of the store: lifecycle, durability
-//! policies, segment rolling and GC, snapshot fallback, corruption
-//! handling, and the spawned (serving-shape) engine with a sink.
+//! Deterministic behaviour of the store: lifecycle, fail-stop errors,
+//! segment rolling and GC, snapshot fallback, corruption handling, and
+//! the spawned (serving-shape) engine with a sink.
 
 mod common;
 
@@ -11,7 +11,7 @@ use tokensync_core::erc20::{Erc20Op, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
 use tokensync_pipeline::{run_script_with_sink, BatchConfig, Pipeline, PipelineConfig};
 use tokensync_spec::{AccountId, ObjectType, ProcessId};
-use tokensync_store::{recover, Durability, Store, StoreConfig, StoreError};
+use tokensync_store::{recover, Store, StoreConfig, StoreError};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -67,24 +67,29 @@ fn create_then_recover_round_trips_every_standard_default_config() {
 }
 
 #[test]
-fn durability_off_persists_nothing_and_recovers_genesis() {
-    let dir = temp_dir("off");
+fn a_failed_store_stays_failed_until_reopened() {
+    let dir = temp_dir("sticky");
     let genesis = Erc20State::from_balances(vec![10; 4]);
     let token = ShardedErc20::from_state(genesis.clone());
-    let mut store: Store<ShardedErc20> = Store::create(
-        &dir,
-        &genesis,
-        StoreConfig {
-            durability: Durability::Off,
-            ..StoreConfig::default()
-        },
-    )
-    .unwrap();
+    let mut store: Store<ShardedErc20> =
+        Store::create(&dir, &genesis, StoreConfig::default()).unwrap();
     run_script_with_sink(&token, &transfers(4, 20), &cfg(8), &mut store);
+    store.abandon();
+    assert!(store.flush().is_err(), "an abandoned store must fail flush");
+
+    // Seeing the error does not clear it: more traffic writes nothing,
+    // and the next flush fails again.
+    let next = store.next_seq();
+    run_script_with_sink(&token, &transfers(4, 20), &cfg(8), &mut store);
+    assert_eq!(store.next_seq(), next, "a failed store resumed writing");
+    assert!(store.flush().is_err(), "the parked error was cleared");
+    assert!(store.error().is_some());
+    drop(store);
+
+    // Reopening is the way back.
+    let mut store: Store<ShardedErc20> = Store::open(&dir, StoreConfig::default()).unwrap();
+    store.flush().unwrap();
     store.close().unwrap();
-    let recovered = recover::<ShardedErc20>(&dir).unwrap();
-    assert_eq!(recovered.replayed, 0);
-    assert_eq!(recovered.state, genesis);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -100,17 +105,16 @@ fn segments_roll_and_snapshots_garbage_collect_them() {
             snapshot_every_ops: 64,
             segment_max_bytes: 256, // tiny: force many segments
             snapshots_kept: 2,
-            // Legacy synchronous path: inline publish + immediate GC,
-            // so the mid-run segment assertions are deterministic. The
-            // async path's lazy GC floor has its own tests.
-            pipeline_fsync: false,
-            incremental_snapshots: false,
+            compact_every: 1, // every publish is a full snapshot
             ..StoreConfig::default()
         },
     )
     .unwrap();
     let script = transfers(8, 400);
     run_script_with_sink(&token, &script, &cfg(32), &mut store);
+    // flush() waits out the thread's publishes and applies their GC
+    // floor, so the segment assertions below are deterministic.
+    store.flush().unwrap();
     assert!(store.snapshot_watermark() >= 64, "snapshots published");
     let segments = wal_segments(&dir);
     assert!(segments.len() > 1, "rolling produced several segments");
@@ -362,18 +366,18 @@ fn floor_repair_preserves_the_valid_prefix_for_snapshot_fallback() {
             snapshot_every_ops: 64,
             segment_max_bytes: 512, // many segments
             snapshots_kept: 2,
-            // Legacy monolithic snapshots: the fallback-to-older-full
-            // scenario below is specific to the `.snap`-only layout
+            // Every publish is a full snapshot: the fallback-to-older-
+            // full scenario below is specific to the `.snap`-only layout
             // (the delta chain's corrupt-link fallback is pinned by
             // `erc20_recovery_survives_a_corrupt_delta_link`).
-            pipeline_fsync: false,
-            incremental_snapshots: false,
+            compact_every: 1,
             ..StoreConfig::default()
         },
     )
     .unwrap();
     let script = transfers(8, 300);
     let run = run_script_with_sink(&token, &script, &cfg(32), &mut store);
+    store.flush().unwrap();
     let newest_watermark = store.snapshot_watermark();
     assert!(newest_watermark >= 128, "several snapshots published");
     store.close().unwrap();
