@@ -12,10 +12,9 @@
 //! * **recovery** — wall-clock to rebuild a live `ShardedErc20` from
 //!   the durable run's directory, split into `snapshot_load_ms`
 //!   (chain resolution: full snapshot + delta links) and `replay_ms`
-//!   (verified WAL replay), in both `parallel` (footprint-partitioned
-//!   waves across a worker pool — the default) and `sequential`
-//!   (the oracle) modes, with the recovered state asserted equal to
-//!   the pre-crash object on every invocation.
+//!   (verified WAL replay through the sequential oracle), one row per
+//!   size, with the recovered state asserted equal to the pre-crash
+//!   object on every invocation.
 //!
 //! Every durable run carries a live `StoreObs` recorder, so the durable
 //! row also reports the WAL I/O it actually did — fsyncs, bytes,
@@ -30,7 +29,7 @@
 //! ```
 //!
 //! `--assert-recovery-rate RATE` turns the bench into a CI gate: it
-//! exits nonzero unless every parallel-recovery row rebuilt at or above
+//! exits nonzero unless every recovery row rebuilt at or above
 //! `RATE` operations per second.
 
 use std::path::{Path, PathBuf};
@@ -45,7 +44,7 @@ use tokensync_pipeline::{
     run_script, run_script_with_sink, BatchConfig, PipelineConfig, PipelineRun,
 };
 use tokensync_spec::ProcessId;
-use tokensync_store::{recover, recover_sequential, Recovered, Store, StoreConfig, StoreObs};
+use tokensync_store::{recover, Recovered, Store, StoreConfig, StoreObs};
 
 /// Zipf skew of the workload (the YCSB default the other benches use).
 const THETA: f64 = 0.6;
@@ -93,7 +92,6 @@ struct IngestCell {
 struct RecoveryCell {
     n: usize,
     ops: usize,
-    mode: &'static str,
     recover_ms: f64,
     snapshot_load_ms: f64,
     replay_ms: f64,
@@ -203,8 +201,8 @@ fn push_ingest(
     out.push(cell);
 }
 
-/// The best (minimum-total) rep of one recovery mode, with the
-/// load/replay split taken from that same rep.
+/// The best (minimum-total) recovery rep, with the load/replay split
+/// taken from that same rep.
 struct RecMeasure {
     recover_ms: f64,
     snapshot_load_ms: f64,
@@ -217,17 +215,9 @@ struct RecMeasure {
 /// One timed recovery, asserted against the oracle. Returns the
 /// condensed measurement so the (large) recovered object drops before
 /// the next rep runs.
-fn timed_recovery(
-    dir: &Path,
-    expected_state: &Erc20State,
-    workload_len: usize,
-    mode: &'static str,
-) -> RecMeasure {
+fn timed_recovery(dir: &Path, expected_state: &Erc20State, workload_len: usize) -> RecMeasure {
     let start = Instant::now();
-    let recovered: Recovered<ShardedErc20> = match mode {
-        "parallel" => recover::<ShardedErc20>(dir).expect("recovery succeeds"),
-        _ => recover_sequential::<ShardedErc20>(dir).expect("recovery succeeds"),
-    };
+    let recovered: Recovered<ShardedErc20> = recover(dir).expect("recovery succeeds");
     let took = ms(start);
     // Acceptance: the recovered state is exactly the pre-crash state
     // (the full prefix — nothing was torn here).
@@ -287,56 +277,41 @@ fn measure(n: usize, ops: usize, ingest: &mut Vec<IngestCell>, recovery: &mut Ve
     push_ingest(ingest, n, "group-commit", ops, best, wal_bytes, io);
 
     let (dir, expected_state) = keep.expect("at least one rep");
-    // Recovery: rebuild the live object from disk alone, with the
-    // footprint-parallel default and the sequential oracle. One untimed
-    // warm-up first, so the two timed modes see the same page-cache and
-    // allocator state instead of the first mode paying the cold-read
+    // Recovery: rebuild the live object from disk alone. One untimed
+    // warm-up first, so every timed rep sees the same page-cache and
+    // allocator state instead of the first rep paying the cold-read
     // cost alone.
-    drop(recover_sequential::<ShardedErc20>(&dir).expect("warm-up recovery"));
-    // Interleave the reps of the two modes so environmental drift
-    // (page-cache eviction, allocator growth) lands on both equally
-    // instead of skewing whichever ran second; keep the best rep per
-    // mode.
-    const MODES: [&str; 2] = ["parallel", "sequential"];
-    let mut best: [Option<RecMeasure>; 2] = [None, None];
+    drop(recover::<ShardedErc20>(&dir).expect("warm-up recovery"));
+    let mut best: Option<RecMeasure> = None;
     for _ in 0..REPS {
-        for (slot, &mode) in MODES.iter().enumerate() {
-            let m = timed_recovery(&dir, &expected_state, workload.len(), mode);
-            if best[slot]
-                .as_ref()
-                .map_or(true, |b| m.recover_ms < b.recover_ms)
-            {
-                best[slot] = Some(m);
-            }
+        let m = timed_recovery(&dir, &expected_state, workload.len());
+        if best.as_ref().is_none_or(|b| m.recover_ms < b.recover_ms) {
+            best = Some(m);
         }
     }
-    for (slot, &mode) in MODES.iter().enumerate() {
-        let m = best[slot].take().expect("at least one rep");
-        let cell = RecoveryCell {
-            n,
-            ops,
-            mode,
-            recover_ms: m.recover_ms,
-            snapshot_load_ms: m.snapshot_load_ms,
-            replay_ms: m.replay_ms,
-            replayed: m.replayed,
-            snapshot_watermark: m.snapshot_watermark,
-            delta_links: m.delta_links,
-            wal_bytes,
-        };
-        eprintln!(
-            "  recover n={:>8} {:>10} {:>9.1}ms (chain@{} +{}d load={:.1}ms, {} replayed in {:.1}ms)",
-            cell.n,
-            cell.mode,
-            cell.recover_ms,
-            cell.snapshot_watermark,
-            cell.delta_links,
-            cell.snapshot_load_ms,
-            cell.replayed,
-            cell.replay_ms,
-        );
-        recovery.push(cell);
-    }
+    let m = best.expect("at least one rep");
+    let cell = RecoveryCell {
+        n,
+        ops,
+        recover_ms: m.recover_ms,
+        snapshot_load_ms: m.snapshot_load_ms,
+        replay_ms: m.replay_ms,
+        replayed: m.replayed,
+        snapshot_watermark: m.snapshot_watermark,
+        delta_links: m.delta_links,
+        wal_bytes,
+    };
+    eprintln!(
+        "  recover n={:>8} {:>9.1}ms (chain@{} +{}d load={:.1}ms, {} replayed in {:.1}ms)",
+        cell.n,
+        cell.recover_ms,
+        cell.snapshot_watermark,
+        cell.delta_links,
+        cell.snapshot_load_ms,
+        cell.replayed,
+        cell.replay_ms,
+    );
+    recovery.push(cell);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -377,12 +352,11 @@ fn write_json(path: &Path, quick: bool, ingest: &[IngestCell], recovery: &[Recov
     for (i, c) in recovery.iter().enumerate() {
         let sep = if i + 1 < recovery.len() { "," } else { "" };
         recs.push_str(&format!(
-            "    {{\"n\": {}, \"ops\": {}, \"mode\": \"{}\", \"recover_ms\": {:.3}, \
+            "    {{\"n\": {}, \"ops\": {}, \"recover_ms\": {:.3}, \
              \"snapshot_load_ms\": {:.3}, \"replay_ms\": {:.3}, \"replayed\": {}, \
              \"snapshot_watermark\": {}, \"delta_links\": {}, \"wal_bytes\": {}}}{sep}\n",
             c.n,
             c.ops,
-            c.mode,
             c.recover_ms,
             c.snapshot_load_ms,
             c.replay_ms,
@@ -407,24 +381,14 @@ fn write_json(path: &Path, quick: bool, ingest: &[IngestCell], recovery: &[Recov
                 .find(|c| c.n == n && c.policy == policy)
                 .expect("ingest grid complete")
         };
-        let rec = |mode: &str| {
-            recovery
-                .iter()
-                .find(|c| c.n == n && c.mode == mode)
-                .expect("recovery cell")
-        };
-        let par = rec("parallel");
-        let seq = rec("sequential");
+        let rec = recovery.iter().find(|c| c.n == n).expect("recovery cell");
         let sep = if i + 1 < ns.len() { "," } else { "" };
         summary.push_str(&format!(
             "    {{\"n\": {n}, \"group_commit_over_volatile\": {:.3}, \"recover_ms\": {:.3}, \
-             \"sequential_recover_ms\": {:.3}, \"parallel_replay_speedup\": {:.3}, \
              \"recovered_ops_per_sec\": {:.0}}}{sep}\n",
             find("group-commit").ops_per_sec / find("volatile").ops_per_sec,
-            par.recover_ms,
-            seq.recover_ms,
-            seq.replay_ms / par.replay_ms.max(1e-9),
-            par.ops as f64 / (par.recover_ms / 1e3),
+            rec.recover_ms,
+            rec.ops as f64 / (rec.recover_ms / 1e3),
         ));
     }
     let host = host_json();
@@ -476,7 +440,7 @@ fn main() {
 
     if let Some(rate) = assert_rate {
         let mut failed = false;
-        for c in recovery.iter().filter(|c| c.mode == "parallel") {
+        for c in &recovery {
             let got = c.ops as f64 / (c.recover_ms / 1e3);
             if got < rate {
                 eprintln!(

@@ -492,13 +492,13 @@ mod tests {
 
     #[test]
     fn disjoint_transfers_are_pairwise_footprint_disjoint() {
-        use tokensync_core::analysis::ops_conflict;
+        use tokensync_core::analysis::footprints_conflict;
         let n = 16;
         let ops = disjoint_transfers(n, n / 2, 3);
         for (i, x) in ops.iter().enumerate() {
             for y in &ops[i + 1..] {
                 assert!(
-                    !ops_conflict((x.0, &x.1), (y.0, &y.1)),
+                    !footprints_conflict((x.0, &x.1), (y.0, &y.1)),
                     "window of n/2 ops must be conflict-free"
                 );
             }

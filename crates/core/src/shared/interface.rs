@@ -34,9 +34,8 @@ use crate::error::TokenError;
 pub trait ConcurrentObject: Send + Sync {
     /// The operation alphabet `O`, carrying its own conflict footprints.
     type Op: FootprintedOp + Clone + Debug + Send + Sync + 'static;
-    /// The response alphabet `R`. `Sync` so recovery can verify recorded
-    /// responses from parallel replay workers sharing the log slice.
-    type Resp: Clone + PartialEq + Debug + Send + Sync + 'static;
+    /// The response alphabet `R`.
+    type Resp: Clone + PartialEq + Debug + Send + 'static;
     /// The sequential oracle state `Q` — an atomic snapshot type
     /// comparable against a sequential replay (diagnostic / test oracle).
     /// `Send` so a durability layer can materialize state on a

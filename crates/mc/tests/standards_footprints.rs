@@ -1,22 +1,23 @@
 //! Cross-check of the Section 6 footprint conflict catalogs against the
 //! model checker's ground truth.
 //!
-//! For exhaustively enumerated small ERC721 and ERC1155 universes, every
+//! For exhaustively enumerated small ERC20, ERC721 and ERC1155 universes, every
 //! ordered operation pair by every pair of distinct processes is
 //! classified with [`classify_pair_for`] (commute / read-only / genuine
 //! conflict, the Theorem 3 trichotomy). The check: **every genuine
 //! conflict is caught by the footprint relation** — i.e. the
 //! state-independent cell catalog the pipeline schedules by is a sound
-//! superset of the model-checked conflicts, for the new standards
-//! exactly as `core::analysis::footprint`'s property suite establishes
-//! for ERC20. (The converse is deliberately false: footprints
+//! superset of the model-checked conflicts, for every standard.
+//! (The converse is deliberately false: footprints
 //! over-approximate — e.g. a credit landing on a drained account — which
 //! costs parallelism, never correctness.)
 
 use tokensync_core::analysis::FootprintedOp;
+use tokensync_core::erc20::{Erc20Spec, Erc20State};
 use tokensync_core::standards::erc1155::{Erc1155Op, Erc1155Spec, Erc1155State, TypeId};
 use tokensync_core::standards::erc721::{Erc721Op, Erc721Spec, Erc721State, TokenId};
-use tokensync_mc::commute::{classify_pair_for, PairClass};
+use tokensync_mc::commute::{classify_pair_for, op_menu, PairClass};
+use tokensync_mc::enumerate::enumerate_states;
 use tokensync_spec::{AccountId, ObjectType, ProcessId};
 
 fn p(i: usize) -> ProcessId {
@@ -61,6 +62,15 @@ where
         }
     }
     conflicts
+}
+
+#[test]
+fn erc20_footprints_catch_every_model_checked_conflict() {
+    let n = 2;
+    let states: Vec<Erc20State> = enumerate_states(n, 2, 2).collect();
+    let spec = Erc20Spec::new(Erc20State::new(n));
+    let conflicts = sweep(&spec, &states, n, &op_menu(n, &[1, 2]));
+    assert!(conflicts > 0, "sweep must exercise genuine conflicts");
 }
 
 /// Every ERC721 state over `n` processes and `tokens` token ids: each

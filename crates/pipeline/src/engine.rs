@@ -171,40 +171,16 @@ where
     }
 }
 
-/// Adaptive-bypass policy: when the engine's measured conflict density
-/// is low it *probes* each batch ([`Scheduler::batch_commutes`]) and, on
-/// a clean probe, routes the batch straight to the object — no wave
-/// construction, no per-wave barriers — committing in submission order.
-/// The probe runs **before** anything executes, so a failed check costs
-/// one prefix scan and the batch simply takes the full scheduled path
-/// from its intake buffer: no speculative effect ever needs undoing, and
-/// no response is emitted twice.
-///
-/// [`Scheduler::batch_commutes`]: crate::schedule::Scheduler::batch_commutes
-#[derive(Clone, Copy, Debug)]
-pub struct BypassConfig {
-    /// Master switch; `false` forces every batch through the scheduler.
-    pub enabled: bool,
-    /// The engine probes a batch only while its conflict-density EWMA is
-    /// at or below this threshold — once traffic turns contended the
-    /// probe's prefix scans stop being paid at all, and the bypass
-    /// re-engages only after the density decays back down.
-    pub max_density: f64,
-    /// EWMA smoothing factor in `(0, 1]`: weight of the newest batch's
-    /// measured density (conflict hits per op on the scheduled path, 0
-    /// on a bypassed batch).
-    pub alpha: f64,
-}
+/// The adaptive bypass probes a batch only while the engine's
+/// conflict-density EWMA is at or below this threshold: once traffic
+/// turns contended the probe's prefix scans stop being paid at all, and
+/// the bypass re-engages only after the density decays back down.
+const BYPASS_MAX_DENSITY: f64 = 0.05;
 
-impl Default for BypassConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            max_density: 0.05,
-            alpha: 0.3,
-        }
-    }
-}
+/// EWMA smoothing factor of the conflict density: the weight of the
+/// newest batch's measured density (conflict hits per op on the
+/// scheduled path, 0 on a bypassed batch).
+const DENSITY_ALPHA: f64 = 0.3;
 
 /// Full engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -215,8 +191,17 @@ pub struct PipelineConfig {
     pub schedule: ScheduleConfig,
     /// Wave execution policy.
     pub exec: ExecConfig,
-    /// Adaptive-bypass policy.
-    pub bypass: BypassConfig,
+    /// Adaptive bypass: while the measured conflict density is low the
+    /// engine *probes* each batch ([`Scheduler::batch_commutes`]) and, on
+    /// a clean probe, routes it straight to the object — no wave
+    /// construction, no per-wave barriers — committing in submission
+    /// order. The probe runs **before** anything executes, so a failed
+    /// check costs one prefix scan and the batch takes the scheduled
+    /// path from its intake buffer: no speculative effect ever needs
+    /// undoing. `false` forces every batch through the scheduler.
+    ///
+    /// [`Scheduler::batch_commutes`]: crate::schedule::Scheduler::batch_commutes
+    pub bypass: bool,
 }
 
 impl Default for PipelineConfig {
@@ -225,7 +210,7 @@ impl Default for PipelineConfig {
             batch: BatchConfig::default(),
             schedule: ScheduleConfig::default(),
             exec: ExecConfig::default(),
-            bypass: BypassConfig::default(),
+            bypass: true,
         }
     }
 }
@@ -356,8 +341,9 @@ impl EngineCore {
         }
     }
 
-    fn observe(&mut self, alpha: f64, batch_density: f64) {
-        self.density = (1.0 - alpha) * self.density + alpha * batch_density.clamp(0.0, 1.0);
+    fn observe(&mut self, batch_density: f64) {
+        self.density =
+            (1.0 - DENSITY_ALPHA) * self.density + DENSITY_ALPHA * batch_density.clamp(0.0, 1.0);
     }
 }
 
@@ -383,14 +369,14 @@ fn process_batch<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
     // execute unordered only on a *certified* all-commuting batch. The
     // certification precedes every effect, so the fallback below re-runs
     // the identical buffered ops with nothing to roll back.
-    if cfg.bypass.enabled && core.density <= cfg.bypass.max_density && !ops.is_empty() {
+    if cfg.bypass && core.density <= BYPASS_MAX_DENSITY && !ops.is_empty() {
         if core.scheduler.batch_commutes(ops) {
             clock.lap(Stage::BypassProbe);
             obs.bypass_engaged();
             let responses = execute_unordered(token, ops, &cfg.exec);
             clock.lap(Stage::Execute);
             run.stats.absorb_bypass(ops.len());
-            core.observe(cfg.bypass.alpha, 0.0);
+            core.observe(0.0);
             let start = run.log.append_sequential(seq, ops, &responses);
             run.stats.commit_records += 1;
             clock.lap(Stage::Commit);
@@ -413,10 +399,7 @@ fn process_batch<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
     let responses = execute(token, ops, &plan, &cfg.exec);
     clock.lap(Stage::Execute);
     run.stats.absorb(&plan);
-    core.observe(
-        cfg.bypass.alpha,
-        plan.conflicts as f64 / ops.len().max(1) as f64,
-    );
+    core.observe(plan.conflicts as f64 / ops.len().max(1) as f64);
     let start = run.log.append_batch(seq, ops, &responses, &plan);
     clock.lap(Stage::Commit);
     // The appended slice is waves in order, then the serial lane, and

@@ -125,8 +125,8 @@ pub use batch::{intake, Batch, BatchConfig, Batcher, IntakeClient, PipelineClose
 pub use commit::{CommitLog, CommittedOp, ReplayDivergence};
 pub use dynamic_lane::{drive_dynamic, DynamicDriveReport};
 pub use engine::{
-    run_script, run_script_observed, run_script_with_sink, BypassConfig, CommitSink, Pipeline,
-    PipelineConfig, PipelineHandle, PipelineRun, PipelineStats, SinkedPipelineHandle, TeeSink,
+    run_script, run_script_observed, run_script_with_sink, CommitSink, Pipeline, PipelineConfig,
+    PipelineHandle, PipelineRun, PipelineStats, SinkedPipelineHandle, TeeSink,
 };
 pub use exec::{execute, execute_unordered, ExecConfig};
 pub use obs::PipelineObs;

@@ -371,7 +371,7 @@ fn disabled_bypass_never_engages() {
         },
         ..PipelineConfig::default()
     };
-    cfg.bypass.enabled = false;
+    cfg.bypass = false;
     let mut sink = RecordingSink::default();
     let run = run_script_with_sink(&token, &script, &cfg, &mut sink);
     assert_eq!(run.stats.bypassed_batches, 0);

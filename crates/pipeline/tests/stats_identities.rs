@@ -20,8 +20,7 @@
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ConcurrentToken, ShardedErc20};
 use tokensync_pipeline::{
-    run_script_with_sink, BatchConfig, BypassConfig, CommitSink, CommittedOp, PipelineConfig,
-    PipelineStats,
+    run_script_with_sink, BatchConfig, CommitSink, CommittedOp, PipelineConfig, PipelineStats,
 };
 use tokensync_spec::{AccountId, ProcessId};
 
@@ -56,10 +55,7 @@ fn cfg(max_ops: usize, bypass: bool) -> PipelineConfig {
             max_ops,
             ..BatchConfig::default()
         },
-        bypass: BypassConfig {
-            enabled: bypass,
-            ..BypassConfig::default()
-        },
+        bypass,
         ..PipelineConfig::default()
     }
 }

@@ -9,7 +9,10 @@
 //! the pending table, and queues the encoded response on the owning
 //! connection's bounded write queue. An `Ok` ack therefore means exactly
 //! what a pipeline commit means; with durable acks enabled it
-//! additionally means the store's fsync watermark passed the entry.
+//! additionally means the store's fsync watermark passed the entry. A
+//! held response the watermark never covers is not answered at all: its
+//! connection is abort-closed, so the client sees a dropped connection,
+//! never a false ack.
 //!
 //! The write queue is the slow-client firewall: pushes never block (the
 //! engine thread is the caller), and a queue at capacity closes the
@@ -213,6 +216,17 @@ impl Router {
             .record(pending.start.elapsed().as_nanos() as u64);
         pending.conn.settle_one();
     }
+
+    /// Drops the ticket's request unanswered and abort-closes its
+    /// connection: the client sees the connection drop instead of a
+    /// reply. Settles the outstanding count.
+    pub(crate) fn abandon(&self, ticket: u64) {
+        let Some(pending) = self.shard(ticket).lock().unwrap().remove(&ticket) else {
+            return;
+        };
+        pending.conn.close_abort();
+        pending.conn.settle_one();
+    }
 }
 
 /// The response-routing [`CommitSink`]: wraps the server's real
@@ -302,25 +316,28 @@ where
         }
         // One durability wait per batch, on the highest held sequence —
         // the engine thread stalls at most one fsync turnaround while
-        // the store's background durability thread catches up. A sink
-        // without a watermark (or one that stops advancing within the
-        // bounded wait) degrades to ack-at-commit rather than wedging
-        // the engine.
-        // The watermark is next_seq-style (ops durable), so entry seq S
-        // is covered once it reaches S + 1.
+        // the store's background durability thread catches up, and at
+        // most `durable_wait` on a store that stopped advancing. The
+        // watermark is next_seq-style (ops durable), so entry seq S is
+        // covered once it reaches S + 1.
         if let Some(target) = self.held.iter().map(|h| h.0 + 1).max() {
-            if self.inner.durable_seq().is_some() {
-                let deadline = Instant::now() + self.durable_wait;
-                while self.inner.durable_seq().is_some_and(|d| d < target)
-                    && Instant::now() < deadline
-                {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
+            let deadline = Instant::now() + self.durable_wait;
+            while self.inner.durable_seq().is_some_and(|d| d < target) && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_micros(50));
             }
         }
-        for (_, ticket, resp) in std::mem::take(&mut self.held) {
-            self.router
-                .resolve(ticket, &resp, self.write_cap, &self.obs);
+        // A sink without a watermark acks at commit. Past the deadline
+        // only covered entries are acked; an uncovered one drops its
+        // connection — an `Ok` would claim durability it does not have.
+        let durable = self.inner.durable_seq();
+        for (seq, ticket, resp) in std::mem::take(&mut self.held) {
+            if durable.is_none_or(|d| seq < d) {
+                self.router
+                    .resolve(ticket, &resp, self.write_cap, &self.obs);
+            } else {
+                self.router.abandon(ticket);
+            }
         }
     }
 

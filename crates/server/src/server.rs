@@ -52,8 +52,9 @@ pub struct ServerConfig {
     /// engine thread). With a sink that has no watermark this is a
     /// no-op: acks mean commit, exactly the pipeline's guarantee.
     pub durable_acks: bool,
-    /// Upper bound on one durable-ack wait; past it the batch degrades
-    /// to ack-at-commit rather than wedging the engine on a dead store.
+    /// Upper bound on one durable-ack wait; past it the batch acks only
+    /// the ops the watermark covers and abort-closes the connection of
+    /// every other one, rather than wedging the engine on a dead store.
     pub durable_wait: Duration,
     /// Bounded per-connection write queue, in frames. A connection
     /// whose queue is full has stopped reading and is disconnected.

@@ -302,3 +302,37 @@ fn half_close_drains_pending_responses() {
     }
     handle.finish();
 }
+
+/// A durability sink whose fsync watermark is stuck at `Some(0)` — a
+/// fail-stopped store: nothing it commits ever becomes durable.
+struct StuckWatermark;
+
+impl<T: ConcurrentObject + ?Sized> CommitSink<T> for StuckWatermark {
+    fn wave_committed(&mut self, _token: &T, _entries: &[CommittedOp<T::Op, T::Resp>]) {}
+
+    fn batch_sealed(&mut self, _token: &T, _batch: u64) {}
+
+    fn durable_seq(&self) -> Option<u64> {
+        Some(0)
+    }
+}
+
+/// Durable acks never outrun the watermark: once the bounded wait
+/// expires on an op the store never covered, the server drops the
+/// connection instead of answering `Ok`.
+#[test]
+fn durable_ack_past_the_deadline_drops_the_connection() {
+    let mut cfg = base_config();
+    cfg.durable_acks = true;
+    cfg.durable_wait = Duration::from_millis(100);
+    let handle = spawn_with(cfg, StuckWatermark);
+    let mut c = Client::<ShardedErc20>::connect(handle.addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    c.send(ProcessId::new(1), &Erc20Op::TotalSupply).unwrap();
+    match c.recv() {
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {}
+        Ok((id, reply)) => panic!("request {id} answered {reply:?} without being durable"),
+        Err(e) => panic!("expected EOF, got {e}"),
+    }
+    handle.finish();
+}

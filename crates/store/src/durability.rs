@@ -352,7 +352,7 @@ where
             <T::State as StateCodec>::VERSION,
             self.mark,
         )?;
-        let spec = T::spec(self.state.clone());
+        let spec = T::spec();
         for entry in &entries {
             if entry.seq < self.mark || entry.seq >= self.open_base {
                 continue;

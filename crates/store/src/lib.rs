@@ -24,11 +24,9 @@
 //! the last drain ([`Restorable::drain_delta`] — per-shard locks, no
 //! quiescence) and the thread folds them onto its materialized state,
 //! publishing a chained `snap-<mark>.delta` series with periodic full
-//! compaction. Recovery replays the surviving log suffix in parallel:
-//! it re-derives each record's conflict footprint and fans
-//! non-conflicting stretches across a scoped worker pool, verifying
-//! recorded responses exactly as the sequential oracle
-//! ([`recover_sequential`]) does.
+//! compaction. Recovery replays the surviving log suffix one record at
+//! a time through the sequential oracle, verifying every recorded
+//! response ([`recover`]).
 //!
 //! Three pieces, all generic over the served standard through the
 //! [`Codec`](tokensync_core::codec::Codec) /
@@ -87,9 +85,7 @@ pub use crc::crc32;
 pub use cursor::{WalCursor, WalRecord};
 pub use error::StoreError;
 pub use obs::StoreObs;
-pub use recovery::{
-    recover, recover_sequential, recover_with, RecoverOptions, Recovered, Restorable,
-};
+pub use recovery::{recover, Recovered, Restorable};
 pub use snapshot::{install_snapshot, read_latest_snapshot};
 pub use store::{Store, StoreConfig};
 pub use wal::{decode_commits, ScanStop};

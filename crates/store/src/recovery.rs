@@ -3,29 +3,19 @@
 //!
 //! Recovery resolves the newest valid **snapshot chain** — a full
 //! snapshot plus any incremental deltas published on top of it — and
-//! then replays the surviving log suffix. The replay re-derives each
-//! logged operation's conflict footprint with the same
-//! [`FootprintedOp`] analysis the pipeline scheduler uses, partitions
-//! the suffix into maximal runs of pairwise-commuting operations, and
-//! applies each run concurrently on a scoped worker pool
-//! ([`recover`]). Because operations within a run commute at every
-//! state, the final state and every verified response are identical to
-//! the one-at-a-time replay ([`recover_sequential`], kept as the
-//! oracle).
+//! then replays the surviving log suffix one record at a time through
+//! the standard's sequential oracle, checking every recorded response
+//! ([`recover`]). The live object is built from the resulting state.
 
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use tokensync_core::analysis::{Access, Footprint, FootprintedOp};
 use tokensync_core::codec::{Codec, StateCodec};
-use tokensync_core::erc20::{Erc20Delta, Erc20Spec};
+use tokensync_core::erc20::{Erc20Delta, Erc20Spec, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
-use tokensync_core::standards::erc1155::{Erc1155Delta, Erc1155Spec, ShardedErc1155};
-use tokensync_core::standards::erc721::{Erc721Delta, Erc721Spec, ShardedErc721};
-use tokensync_pipeline::CommittedOp;
-use tokensync_spec::ObjectType;
+use tokensync_core::standards::erc1155::{Erc1155Delta, Erc1155Spec, Erc1155State, ShardedErc1155};
+use tokensync_core::standards::erc721::{Erc721Delta, Erc721Spec, Erc721State, ShardedErc721};
+use tokensync_spec::{ObjectType, ProcessId};
 
 use crate::error::StoreError;
 use crate::snapshot::{delta_files, latest_snapshot, read_delta, SnapshotDefect};
@@ -50,9 +40,10 @@ pub trait Restorable: ConcurrentObject + Sized + 'static {
     /// Builds the live object holding exactly `state`.
     fn restore(state: Self::State) -> Self;
 
-    /// An oracle instance (the initial state is irrelevant to replay;
-    /// only the transition function is used).
-    fn spec(initial: Self::State) -> Self::Spec;
+    /// An oracle instance over an empty state: replay uses only its
+    /// transition function, so no copy of a (possibly large) state is
+    /// made to build it.
+    fn spec() -> Self::Spec;
 
     /// Takes the rows touched since the last drain (or since
     /// construction), clearing the tracking. Only shard locks are held,
@@ -75,8 +66,8 @@ impl Restorable for ShardedErc20 {
     fn restore(state: Self::State) -> Self {
         ShardedErc20::from_state(state)
     }
-    fn spec(initial: Self::State) -> Erc20Spec {
-        Erc20Spec::new(initial)
+    fn spec() -> Erc20Spec {
+        Erc20Spec::new(Erc20State::new(0))
     }
     fn drain_delta(&self) -> Erc20Delta {
         self.drain_delta()
@@ -95,8 +86,8 @@ impl Restorable for ShardedErc721 {
     fn restore(state: Self::State) -> Self {
         ShardedErc721::from_state(state)
     }
-    fn spec(initial: Self::State) -> Erc721Spec {
-        Erc721Spec::new(initial)
+    fn spec() -> Erc721Spec {
+        Erc721Spec::new(Erc721State::new(0, 0))
     }
     fn drain_delta(&self) -> Erc721Delta {
         self.drain_delta()
@@ -115,8 +106,8 @@ impl Restorable for ShardedErc1155 {
     fn restore(state: Self::State) -> Self {
         ShardedErc1155::from_state(state)
     }
-    fn spec(initial: Self::State) -> Erc1155Spec {
-        Erc1155Spec::new(initial)
+    fn spec() -> Erc1155Spec {
+        Erc1155Spec::new(Erc1155State::deploy(1, ProcessId::new(0), &[]))
     }
     fn drain_delta(&self) -> Erc1155Delta {
         self.drain_delta()
@@ -189,30 +180,6 @@ where
     Ok(ResolvedChain { state, mark, links })
 }
 
-/// How [`recover_with`] replays the log suffix.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoverOptions {
-    /// Replay non-conflicting records concurrently (the default). The
-    /// sequential path remains available as the verification oracle.
-    pub parallel: bool,
-    /// Worker threads for the parallel replay (`0` = the machine's
-    /// available parallelism).
-    pub threads: usize,
-    /// Below this many surviving log entries the sequential path is
-    /// used regardless — thread fan-out costs more than it saves.
-    pub min_parallel_ops: usize,
-}
-
-impl Default for RecoverOptions {
-    fn default() -> Self {
-        Self {
-            parallel: true,
-            threads: 0,
-            min_parallel_ops: 4096,
-        }
-    }
-}
-
 /// What [`recover`] rebuilt.
 #[derive(Debug)]
 pub struct Recovered<T: ConcurrentObject> {
@@ -239,16 +206,14 @@ pub struct Recovered<T: ConcurrentObject> {
     pub epoch: u64,
     /// Wall time resolving and decoding the snapshot chain.
     pub snapshot_load: Duration,
-    /// Wall time scanning, footprint-partitioning and replaying the log
-    /// suffix (verification included).
+    /// Wall time scanning and replaying the log suffix (verification
+    /// included).
     pub replay: Duration,
 }
 
 /// Recovers the store in `dir`: resolves the newest valid snapshot
 /// chain, replays the surviving log suffix — verifying every recorded
 /// response on the way — and rebuilds the live sharded object.
-/// Non-conflicting stretches of the log replay concurrently; see
-/// [`recover_with`] to tune or disable that.
 ///
 /// The recovered history is always a *prefix* of the committed history:
 /// record framing is CRC-checked and sequence numbers are gap-free, so
@@ -264,43 +229,6 @@ pub struct Recovered<T: ConcurrentObject> {
 /// is untrustworthy), [`StoreError::Codec`] for CRC-valid but
 /// undecodable records (encoder/decoder skew), and I/O errors.
 pub fn recover<T>(dir: &Path) -> Result<Recovered<T>, StoreError>
-where
-    T: Restorable,
-    T::Op: Codec,
-    T::Resp: Codec,
-    T::State: StateCodec,
-{
-    recover_with(dir, RecoverOptions::default())
-}
-
-/// [`recover`] restricted to the one-at-a-time oracle replay — the
-/// reference the parallel path is property-tested against.
-///
-/// # Errors
-///
-/// As [`recover`].
-pub fn recover_sequential<T>(dir: &Path) -> Result<Recovered<T>, StoreError>
-where
-    T: Restorable,
-    T::Op: Codec,
-    T::Resp: Codec,
-    T::State: StateCodec,
-{
-    recover_with(
-        dir,
-        RecoverOptions {
-            parallel: false,
-            ..RecoverOptions::default()
-        },
-    )
-}
-
-/// [`recover`] with explicit [`RecoverOptions`].
-///
-/// # Errors
-///
-/// As [`recover`].
-pub fn recover_with<T>(dir: &Path, opts: RecoverOptions) -> Result<Recovered<T>, StoreError>
 where
     T: Restorable,
     T::Op: Codec,
@@ -331,28 +259,20 @@ where
         hi += 1;
     }
     let live = &entries[lo..hi];
+    let replayed = live.len() as u64;
 
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        opts.threads
-    };
-    let (object, state) = if opts.parallel && threads > 1 && live.len() >= opts.min_parallel_ops {
-        let object = T::restore(chain.state);
-        replay_parallel(&object, live, threads).map_err(|seq| StoreError::Divergence { seq })?;
-        let state = object.snapshot();
-        (object, state)
-    } else {
-        let mut state = chain.state;
-        let spec = T::spec(state.clone());
-        for entry in live {
-            let resp = spec.apply(&mut state, entry.caller, &entry.op);
-            if resp != entry.resp {
-                return Err(StoreError::Divergence { seq: entry.seq });
-            }
+    let mut state = chain.state;
+    let spec = T::spec();
+    for entry in live {
+        let resp = spec.apply(&mut state, entry.caller, &entry.op);
+        if resp != entry.resp {
+            return Err(StoreError::Divergence { seq: entry.seq });
         }
-        (T::restore(state.clone()), state)
-    };
+    }
+    // Free the decoded log before building the live object, the step
+    // that holds the most state copies at once.
+    drop(entries);
+    let object = T::restore(state.clone());
     let replay = replay_started.elapsed();
 
     Ok(Recovered {
@@ -360,96 +280,11 @@ where
         state,
         snapshot_watermark: chain.mark,
         delta_links: chain.links,
-        replayed: live.len() as u64,
-        next_seq: chain.mark + live.len() as u64,
+        replayed,
+        next_seq: chain.mark + replayed,
         log_stop: scan.stop,
         epoch: scan.epoch,
         snapshot_load,
         replay,
     })
-}
-
-/// Replays `entries` onto the live `object` concurrently: re-derives
-/// each op's footprint, greedily cuts the sequence into maximal runs of
-/// pairwise-commuting ops (the same commutativity analysis the pipeline
-/// scheduler applies at serve time), and fans each run out across
-/// `threads` scoped workers. Commuting ops produce the same responses
-/// and final state in any order, so verification against the recorded
-/// responses is exact; on mismatch the smallest diverging sequence
-/// number is returned — the same one the sequential oracle reports.
-fn replay_parallel<T>(
-    object: &T,
-    entries: &[CommittedOp<T::Op, T::Resp>],
-    threads: usize,
-) -> Result<(), u64>
-where
-    T: Restorable,
-{
-    // Partition into waves. A cell's merged access within a wave stays
-    // its class while all charges agree (read/read, credit/credit) and
-    // hardens to `Update` when one op both reads and writes the cell
-    // (self-collisions commute with nothing).
-    let mut waves: Vec<(usize, usize)> = Vec::new();
-    let mut accesses: HashMap<u128, Access> = HashMap::new();
-    let mut fp = Footprint::new();
-    let mut wave_start = 0usize;
-    for (i, entry) in entries.iter().enumerate() {
-        fp.clear();
-        entry.op.footprint_into(entry.caller, &mut fp);
-        let conflicts = fp.iter().any(|(cell, access)| {
-            accesses
-                .get(&cell.key().packed())
-                .map_or(false, |prev| !prev.commutes_with(access))
-        });
-        if conflicts {
-            waves.push((wave_start, i));
-            wave_start = i;
-            accesses.clear();
-        }
-        for (cell, access) in fp.iter() {
-            accesses
-                .entry(cell.key().packed())
-                .and_modify(|prev| {
-                    if *prev != access {
-                        *prev = Access::Update;
-                    }
-                })
-                .or_insert(access);
-        }
-    }
-    if wave_start < entries.len() {
-        waves.push((wave_start, entries.len()));
-    }
-
-    let diverged = AtomicU64::new(u64::MAX);
-    for &(start, end) in &waves {
-        let wave = &entries[start..end];
-        if wave.len() < 2 * threads {
-            for entry in wave {
-                if object.apply(entry.caller, &entry.op) != entry.resp {
-                    diverged.fetch_min(entry.seq, Ordering::Relaxed);
-                }
-            }
-        } else {
-            let chunk = wave.len().div_ceil(threads);
-            crossbeam::scope(|s| {
-                for part in wave.chunks(chunk) {
-                    let diverged = &diverged;
-                    s.spawn(move |_| {
-                        for entry in part {
-                            if object.apply(entry.caller, &entry.op) != entry.resp {
-                                diverged.fetch_min(entry.seq, Ordering::Relaxed);
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("recovery replay worker panicked");
-        }
-        let seq = diverged.load(Ordering::Relaxed);
-        if seq != u64::MAX {
-            return Err(seq);
-        }
-    }
-    Ok(())
 }
