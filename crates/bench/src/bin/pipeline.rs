@@ -156,9 +156,7 @@ fn measure_pipeline(
         exec: tokensync_pipeline::ExecConfig {
             workers: THREADS
                 .min(std::thread::available_parallelism().map_or(1, std::num::NonZero::get)),
-            ..tokensync_pipeline::ExecConfig::default()
         },
-        ..PipelineConfig::default()
     };
     let mut run_ms = f64::INFINITY;
     let mut stats = PipelineStats::default();

@@ -116,11 +116,7 @@ fn measure<T, B, V>(
             ..BatchConfig::default()
         },
         schedule: ScheduleConfig::default(),
-        exec: tokensync_pipeline::ExecConfig {
-            workers: THREADS,
-            ..tokensync_pipeline::ExecConfig::default()
-        },
-        ..PipelineConfig::default()
+        exec: tokensync_pipeline::ExecConfig { workers: THREADS },
     };
     let mut run_ms = f64::INFINITY;
     let mut stats = PipelineStats::default();

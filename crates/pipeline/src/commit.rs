@@ -109,33 +109,6 @@ impl<Op: Clone + Debug, Resp: Clone + PartialEq + Debug> CommitLog<Op, Resp> {
         start
     }
 
-    /// Appends one executed batch in plain submission order — the
-    /// adaptive-bypass commit path, for batches certified pairwise
-    /// commuting (so submission order *is* a linearization of whatever
-    /// interleaving the uncoordinated execution took). Returns the index
-    /// of the first entry appended, like
-    /// [`append_batch`](CommitLog::append_batch).
-    pub fn append_sequential(
-        &mut self,
-        batch: u64,
-        ops: &[(ProcessId, Op)],
-        responses: &[Resp],
-    ) -> usize {
-        debug_assert_eq!(ops.len(), responses.len());
-        let start = self.entries.len();
-        self.entries.reserve(ops.len());
-        for ((caller, op), resp) in ops.iter().zip(responses) {
-            self.entries.push(CommittedOp {
-                seq: self.entries.len() as u64,
-                batch,
-                caller: *caller,
-                op: op.clone(),
-                resp: resp.clone(),
-            });
-        }
-        start
-    }
-
     /// The committed operations in linearization order.
     pub fn entries(&self) -> &[CommittedOp<Op, Resp>] {
         &self.entries

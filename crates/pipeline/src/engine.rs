@@ -1,18 +1,27 @@
 //! The assembled engine: ingest → analyze → schedule → execute → commit,
 //! generic over every footprinted standard.
 //!
-//! Two entry points share one batch-processing core:
+//! Two shapes drive one batch-processing core:
 //!
 //! * [`run_script`] — synchronous: chunk a pre-built operation stream
 //!   into batches and push each through the stages on the calling thread
 //!   (plus the wave worker pool). Deterministic, so the property suites
 //!   and benchmarks use it.
-//! * [`Pipeline::spawn`] — the serving shape: a background engine thread
-//!   pulls batches from the bounded intake queue
+//! * [`Pipeline::spawn_observed`] — the serving shape: a background
+//!   engine thread pulls batches from the bounded intake queue
 //!   ([`IntakeClient::submit`] from any number of client threads),
-//!   executes them, and appends to the commit log; dropping every client
-//!   and calling [`PipelineHandle::finish`] drains the queue and returns
-//!   the [`PipelineRun`].
+//!   executes them, and streams every commit into its [`CommitSink`];
+//!   dropping every client and calling [`SinkedPipelineHandle::finish`]
+//!   drains the queue and returns the [`PipelineRun`] with the sink. The
+//!   volatile, unobserved engine is the unit sink `()` with
+//!   [`PipelineObs::disabled`].
+//!
+//! Every batch takes the same path through the core: plan, execute,
+//! commit, seal. The plan is the scheduler's waves and serial lane — or,
+//! when the adaptive-bypass probe ([`Scheduler::batch_commutes`])
+//! certifies the whole batch pairwise commuting, a single wave holding
+//! every op in submission order. The bypass skips wave construction,
+//! not the executor or the commit path.
 //!
 //! There is exactly **one** engine: the same schedule/execute/commit
 //! machinery serves an ERC20 [`ShardedErc20`], an ERC721
@@ -30,9 +39,9 @@ use tokensync_core::shared::ConcurrentObject;
 use tokensync_obs::Stage;
 use tokensync_spec::ProcessId;
 
-use crate::batch::{intake, BatchConfig, Batcher, IntakeClient};
+use crate::batch::{intake, BatchConfig, IntakeClient};
 use crate::commit::{CommitLog, CommittedOp};
-use crate::exec::{execute, execute_unordered, ExecConfig};
+use crate::exec::{execute, ExecConfig};
 use crate::obs::PipelineObs;
 use crate::schedule::{Schedule, ScheduleConfig, Scheduler};
 
@@ -100,81 +109,15 @@ impl<T: ConcurrentObject + ?Sized> CommitSink<T> for () {
     fn batch_sealed(&mut self, _token: &T, _batch: u64) {}
 }
 
-/// A borrowed sink is a sink: lets callers keep ownership (e.g. of a
-/// `Store`) while an engine run observes commits through it, and lets
-/// [`TeeSink`] compose sinks without taking them by value.
-impl<T: ConcurrentObject + ?Sized, S: CommitSink<T> + ?Sized> CommitSink<T> for &mut S {
-    fn wave_committed(&mut self, token: &T, entries: &[CommittedOp<T::Op, T::Resp>]) {
-        (**self).wave_committed(token, entries);
-    }
-    fn wave_committed_tagged(
-        &mut self,
-        token: &T,
-        entries: &[CommittedOp<T::Op, T::Resp>],
-        tickets: &[u64],
-    ) {
-        (**self).wave_committed_tagged(token, entries, tickets);
-    }
-    fn batch_sealed(&mut self, token: &T, batch: u64) {
-        (**self).batch_sealed(token, batch);
-    }
-    fn durable_seq(&self) -> Option<u64> {
-        (**self).durable_seq()
-    }
-}
-
-/// Fans one commit stream out to two sinks, `a` first — the composition
-/// the replication layer uses to run a durable `Store` and a shipping
-/// observer off the same engine without either knowing about the other.
-/// Order matters for durability claims: put the sink whose side effects
-/// others depend on (the WAL) in `a`, observers in `b`.
-#[derive(Debug, Default)]
-pub struct TeeSink<A, B> {
-    /// The first sink (sees every event before `b`).
-    pub a: A,
-    /// The second sink.
-    pub b: B,
-}
-
-impl<A, B> TeeSink<A, B> {
-    /// Composes `a` and `b` into one sink.
-    pub fn new(a: A, b: B) -> Self {
-        Self { a, b }
-    }
-}
-
-impl<T, A, B> CommitSink<T> for TeeSink<A, B>
-where
-    T: ConcurrentObject + ?Sized,
-    A: CommitSink<T>,
-    B: CommitSink<T>,
-{
-    fn wave_committed(&mut self, token: &T, entries: &[CommittedOp<T::Op, T::Resp>]) {
-        self.a.wave_committed(token, entries);
-        self.b.wave_committed(token, entries);
-    }
-    fn wave_committed_tagged(
-        &mut self,
-        token: &T,
-        entries: &[CommittedOp<T::Op, T::Resp>],
-        tickets: &[u64],
-    ) {
-        self.a.wave_committed_tagged(token, entries, tickets);
-        self.b.wave_committed_tagged(token, entries, tickets);
-    }
-    fn batch_sealed(&mut self, token: &T, batch: u64) {
-        self.a.batch_sealed(token, batch);
-        self.b.batch_sealed(token, batch);
-    }
-    fn durable_seq(&self) -> Option<u64> {
-        self.a.durable_seq().or_else(|| self.b.durable_seq())
-    }
-}
-
-/// The adaptive bypass probes a batch only while the engine's
-/// conflict-density EWMA is at or below this threshold: once traffic
-/// turns contended the probe's prefix scans stop being paid at all, and
-/// the bypass re-engages only after the density decays back down.
+/// The adaptive bypass: while the engine's conflict-density EWMA is at
+/// or below this threshold, each batch is *probed*
+/// ([`Scheduler::batch_commutes`]) and, on a clean probe, planned as one
+/// wave in submission order — no wave construction. The probe runs
+/// **before** anything executes, so a failed check costs one prefix scan
+/// and the batch is scheduled from its intake buffer: no speculative
+/// effect ever needs undoing. Once traffic turns contended the probe's
+/// prefix scans stop being paid at all, and the bypass re-engages only
+/// after the density decays back down.
 const BYPASS_MAX_DENSITY: f64 = 0.05;
 
 /// EWMA smoothing factor of the conflict density: the weight of the
@@ -183,7 +126,7 @@ const BYPASS_MAX_DENSITY: f64 = 0.05;
 const DENSITY_ALPHA: f64 = 0.3;
 
 /// Full engine configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PipelineConfig {
     /// Intake batching policy.
     pub batch: BatchConfig,
@@ -191,28 +134,6 @@ pub struct PipelineConfig {
     pub schedule: ScheduleConfig,
     /// Wave execution policy.
     pub exec: ExecConfig,
-    /// Adaptive bypass: while the measured conflict density is low the
-    /// engine *probes* each batch ([`Scheduler::batch_commutes`]) and, on
-    /// a clean probe, routes it straight to the object — no wave
-    /// construction, no per-wave barriers — committing in submission
-    /// order. The probe runs **before** anything executes, so a failed
-    /// check costs one prefix scan and the batch takes the scheduled
-    /// path from its intake buffer: no speculative effect ever needs
-    /// undoing. `false` forces every batch through the scheduler.
-    ///
-    /// [`Scheduler::batch_commutes`]: crate::schedule::Scheduler::batch_commutes
-    pub bypass: bool,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self {
-            batch: BatchConfig::default(),
-            schedule: ScheduleConfig::default(),
-            exec: ExecConfig::default(),
-            bypass: true,
-        }
-    }
 }
 
 /// Aggregate counters over every batch an engine processed.
@@ -233,8 +154,8 @@ pub struct PipelineStats {
     /// [`Schedule::conflicts`]).
     pub conflicts: u64,
     /// Batches the adaptive bypass routed around the scheduler (probe
-    /// certified all-commuting; executed unordered, committed in
-    /// submission order).
+    /// certified all-commuting; planned as one wave in submission
+    /// order).
     pub bypassed_batches: u64,
     /// Operations committed through the bypass path.
     pub bypassed_ops: u64,
@@ -280,22 +201,17 @@ impl PipelineStats {
         self.bypassed_batches as f64 / self.batches as f64
     }
 
-    fn absorb(&mut self, s: &Schedule) {
+    fn absorb(&mut self, s: &Schedule, bypassed: bool) {
         self.batches += 1;
         self.ops += s.ops() as u64;
         self.parallel_ops += s.parallel_ops() as u64;
         self.serial_ops += s.serial.len() as u64;
         self.waves += s.waves.len() as u64;
         self.conflicts += s.conflicts as u64;
-    }
-
-    fn absorb_bypass(&mut self, ops: usize) {
-        self.batches += 1;
-        self.ops += ops as u64;
-        self.parallel_ops += ops as u64;
-        self.waves += 1;
-        self.bypassed_batches += 1;
-        self.bypassed_ops += ops as u64;
+        if bypassed {
+            self.bypassed_batches += 1;
+            self.bypassed_ops += s.ops() as u64;
+        }
     }
 }
 
@@ -318,13 +234,15 @@ impl<Op, Resp> Default for PipelineRun<Op, Resp> {
     }
 }
 
-/// The engine's retained per-loop state: the reusable scheduling context
-/// (registries + footprint buffer — the reason analyze/schedule allocate
-/// nothing per op) and the conflict-density EWMA the adaptive bypass
-/// steers by. One per serving loop; batches of one loop always flow
-/// through the same core, so the predictor sees the full traffic
-/// history.
-struct EngineCore {
+/// The engine's retained per-loop state: the configuration, the run
+/// being built, the reusable scheduling context (registries + footprint
+/// buffer — the reason analyze/schedule allocate nothing per op) and the
+/// conflict-density EWMA the adaptive bypass steers by. One per serving
+/// loop; batches of one loop always flow through the same core, so the
+/// predictor sees the full traffic history.
+struct EngineCore<T: ConcurrentObject + ?Sized> {
+    cfg: PipelineConfig,
+    run: PipelineRun<T::Op, T::Resp>,
     scheduler: Scheduler,
     /// EWMA of measured conflict density (conflict hits per op), in
     /// `[0, 1]`. Starts at 0 — optimistic, so the first batch of a
@@ -333,9 +251,11 @@ struct EngineCore {
     density: f64,
 }
 
-impl EngineCore {
-    fn new() -> Self {
+impl<T: ConcurrentObject + ?Sized> EngineCore<T> {
+    fn new(cfg: PipelineConfig) -> Self {
         Self {
+            cfg,
+            run: PipelineRun::default(),
             scheduler: Scheduler::new(),
             density: 0.0,
         }
@@ -345,80 +265,76 @@ impl EngineCore {
         self.density =
             (1.0 - DENSITY_ALPHA) * self.density + DENSITY_ALPHA * batch_density.clamp(0.0, 1.0);
     }
-}
 
-/// One batch through analyze → (bypass | schedule → execute) → commit,
-/// streaming each committed record (and the batch seal) into `sink`.
-/// `obs` is the recorder seam: disabled, each instrumentation point is
-/// one inlined branch. `tickets` parallels `ops` in submission order
-/// (empty when the batch carries none); the sink sees it permuted into
-/// the same commit order as the entries it receives.
-fn process_batch<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
-    core: &mut EngineCore,
-    token: &T,
-    seq: u64,
-    ops: &[(ProcessId, T::Op)],
-    tickets: &[u64],
-    cfg: &PipelineConfig,
-    run: &mut PipelineRun<T::Op, T::Resp>,
-    sink: &mut K,
-    obs: &PipelineObs,
-) {
-    let mut clock = obs.batch_clock(seq);
-    // Speculation gate: probe only while measured density is low, and
-    // execute unordered only on a *certified* all-commuting batch. The
-    // certification precedes every effect, so the fallback below re-runs
-    // the identical buffered ops with nothing to roll back.
-    if cfg.bypass && core.density <= BYPASS_MAX_DENSITY && !ops.is_empty() {
-        if core.scheduler.batch_commutes(ops) {
+    /// One batch through plan → execute → commit → seal, streaming the
+    /// committed record (and the batch seal) into `sink`. The plan is
+    /// one all-commuting wave when the bypass probe certifies the batch,
+    /// the scheduler's waves and serial lane otherwise. `obs` is the
+    /// recorder seam: disabled, each instrumentation point is one
+    /// inlined branch. `tickets` parallels `ops` in submission order
+    /// (empty when the batch carries none); the sink sees it permuted
+    /// into the same commit order as the entries it receives.
+    fn process_batch<K: CommitSink<T>>(
+        &mut self,
+        token: &T,
+        seq: u64,
+        ops: &[(ProcessId, T::Op)],
+        tickets: &[u64],
+        sink: &mut K,
+        obs: &PipelineObs,
+    ) {
+        let mut clock = obs.batch_clock(seq);
+        // Speculation gate: probe only while measured density is low. The
+        // certification precedes every effect, so a failed probe
+        // schedules the identical buffered ops with nothing to roll back.
+        let bypassed = self.density <= BYPASS_MAX_DENSITY && !ops.is_empty() && {
+            let clean = self.scheduler.batch_commutes(ops);
             clock.lap(Stage::BypassProbe);
-            obs.bypass_engaged();
-            let responses = execute_unordered(token, ops, &cfg.exec);
-            clock.lap(Stage::Execute);
-            run.stats.absorb_bypass(ops.len());
-            core.observe(0.0);
-            let start = run.log.append_sequential(seq, ops, &responses);
-            run.stats.commit_records += 1;
-            clock.lap(Stage::Commit);
-            // The bypass commits in submission order, so the tickets
-            // already align with the appended entries.
-            sink.wave_committed_tagged(token, &run.log.entries()[start..], tickets);
-            sink.batch_sealed(token, seq);
-            clock.lap(Stage::Seal);
-            clock.finish(ops.len());
-            return;
-        }
-        // Misprediction caught before execution: fall through to the
-        // scheduled path on the same buffered batch.
-        run.stats.bypass_aborts += 1;
-        clock.lap(Stage::BypassProbe);
-        obs.bypass_aborted();
-    }
-    let plan = core.scheduler.schedule(ops, &cfg.schedule);
-    clock.lap(Stage::Schedule);
-    let responses = execute(token, ops, &plan, &cfg.exec);
-    clock.lap(Stage::Execute);
-    run.stats.absorb(&plan);
-    core.observe(plan.conflicts as f64 / ops.len().max(1) as f64);
-    let start = run.log.append_batch(seq, ops, &responses, &plan);
-    clock.lap(Stage::Commit);
-    // The appended slice is waves in order, then the serial lane, and
-    // goes to the sink as one record. The tickets follow the entries
-    // through the same permutation so `tagged[i]` still names
-    // `committed[i]`'s producer.
-    let committed = &run.log.entries()[start..];
-    if !committed.is_empty() {
-        let tagged: Vec<u64> = if tickets.is_empty() {
-            Vec::new()
-        } else {
-            plan.commit_order().map(|idx| tickets[idx]).collect()
+            if clean {
+                obs.bypass_engaged();
+            } else {
+                self.run.stats.bypass_aborts += 1;
+                obs.bypass_aborted();
+            }
+            clean
         };
-        sink.wave_committed_tagged(token, committed, &tagged);
-        run.stats.commit_records += 1;
+        let plan = if bypassed {
+            Schedule::one_wave(ops.len())
+        } else {
+            let plan = self.scheduler.schedule(ops, &self.cfg.schedule);
+            clock.lap(Stage::Schedule);
+            plan
+        };
+        let responses = execute(token, ops, &plan, &self.cfg.exec);
+        clock.lap(Stage::Execute);
+        self.run.stats.absorb(&plan, bypassed);
+        self.observe(plan.conflicts as f64 / ops.len().max(1) as f64);
+        let start = self.run.log.append_batch(seq, ops, &responses, &plan);
+        clock.lap(Stage::Commit);
+        // The appended slice is waves in order, then the serial lane, and
+        // goes to the sink as one record. The tickets follow the entries
+        // through the same permutation so `tagged[i]` still names
+        // `committed[i]`'s producer.
+        let committed = &self.run.log.entries()[start..];
+        if !committed.is_empty() {
+            let tagged: Vec<u64> = if tickets.is_empty() {
+                Vec::new()
+            } else {
+                plan.commit_order().map(|idx| tickets[idx]).collect()
+            };
+            sink.wave_committed_tagged(token, committed, &tagged);
+            self.run.stats.commit_records += 1;
+        }
+        sink.batch_sealed(token, seq);
+        clock.lap(Stage::Seal);
+        clock.finish(ops.len());
     }
-    sink.batch_sealed(token, seq);
-    clock.lap(Stage::Seal);
-    clock.finish(ops.len());
+
+    /// Ends the run: samples the sink's durable watermark into the stats.
+    fn finish<K: CommitSink<T>>(mut self, sink: &K) -> PipelineRun<T::Op, T::Resp> {
+        self.run.stats.durable_seq = sink.durable_seq();
+        self.run
+    }
 }
 
 /// Synchronously executes `script` through the pipeline stages against
@@ -472,47 +388,17 @@ pub fn run_script_observed<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
     sink: &mut K,
     obs: &PipelineObs,
 ) -> PipelineRun<T::Op, T::Resp> {
-    let mut core = EngineCore::new();
-    let mut run = PipelineRun::default();
+    let mut core = EngineCore::new(*cfg);
     let size = cfg.batch.max_ops.max(1);
     for (seq, ops) in script.chunks(size).enumerate() {
-        process_batch(
-            &mut core,
-            token,
-            seq as u64,
-            ops,
-            &[],
-            cfg,
-            &mut run,
-            sink,
-            obs,
-        );
+        core.process_batch(token, seq as u64, ops, &[], sink, obs);
     }
-    run.stats.durable_seq = sink.durable_seq();
-    run
+    core.finish(sink)
 }
 
-/// Handle on a spawned engine: join it to collect the run.
-#[derive(Debug)]
-pub struct PipelineHandle<Op, Resp> {
-    join: JoinHandle<PipelineRun<Op, Resp>>,
-}
-
-impl<Op, Resp> PipelineHandle<Op, Resp> {
-    /// Waits for the engine to drain and stop (all [`IntakeClient`]s must
-    /// be dropped first, or this blocks forever) and returns its run.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic of the engine thread.
-    pub fn finish(self) -> PipelineRun<Op, Resp> {
-        self.join.join().expect("pipeline engine panicked")
-    }
-}
-
-/// Handle on a spawned engine carrying a durability sink: join it to
-/// collect the run *and* the sink (e.g. the store, ready to be closed
-/// or queried for its watermark).
+/// Handle on a spawned engine: join it to collect the run *and* the
+/// sink (e.g. the store, ready to be closed or queried for its
+/// watermark).
 #[derive(Debug)]
 pub struct SinkedPipelineHandle<Op, Resp, K> {
     join: JoinHandle<(PipelineRun<Op, Resp>, K)>,
@@ -531,97 +417,57 @@ impl<Op, Resp, K> SinkedPipelineHandle<Op, Resp, K> {
     }
 }
 
+/// What [`Pipeline::spawn_observed`] returns: the producer handle and
+/// the engine handle.
+type Spawned<T, K> = (
+    IntakeClient<<T as ConcurrentObject>::Op>,
+    SinkedPipelineHandle<<T as ConcurrentObject>::Op, <T as ConcurrentObject>::Resp, K>,
+);
+
 /// The engine's serving shape.
 pub struct Pipeline;
 
-/// The engine thread body shared by the spawn shapes.
-fn engine_loop<T: ConcurrentObject, K: CommitSink<T>>(
-    token: &T,
-    batcher: &mut Batcher<T::Op>,
-    cfg: &PipelineConfig,
-    sink: &mut K,
-    obs: &PipelineObs,
-) -> PipelineRun<T::Op, T::Resp> {
-    let mut core = EngineCore::new();
-    let mut run = PipelineRun::default();
-    loop {
-        // The wait for a batch is itself a stage: it is the intake
-        // (queueing) component of an op's end-to-end latency.
-        let waiting_since = obs.now();
-        let Some(batch) = batcher.next_batch() else {
-            break;
-        };
-        obs.record_stage(batch.seq, Stage::IntakeWait, waiting_since);
-        obs.sample_queue_depths(|i| batcher.shard_depth(i));
-        process_batch(
-            &mut core,
-            token,
-            batch.seq,
-            &batch.ops,
-            &batch.tickets,
-            cfg,
-            &mut run,
-            sink,
-            obs,
-        );
-    }
-    run.stats.durable_seq = sink.durable_seq();
-    run
-}
-
 impl Pipeline {
     /// Spawns a background engine over `token`; returns the producer
-    /// handle (clone it per client thread) and the engine handle.
-    pub fn spawn<T: ConcurrentObject + 'static>(
-        token: Arc<T>,
-        cfg: PipelineConfig,
-    ) -> (IntakeClient<T::Op>, PipelineHandle<T::Op, T::Resp>) {
-        let (client, mut batcher) = intake(cfg.batch);
-        let join = std::thread::spawn(move || {
-            engine_loop(
-                token.as_ref(),
-                &mut batcher,
-                &cfg,
-                &mut (),
-                &PipelineObs::disabled(),
-            )
-        });
-        (client, PipelineHandle { join })
-    }
-
-    /// [`Pipeline::spawn`] with a durability [`CommitSink`]: the sink
-    /// moves onto the engine thread (commit-stage callbacks run there)
-    /// and is returned by [`SinkedPipelineHandle::finish`].
-    pub fn spawn_with_sink<T, K>(
-        token: Arc<T>,
-        cfg: PipelineConfig,
-        sink: K,
-    ) -> (IntakeClient<T::Op>, SinkedPipelineHandle<T::Op, T::Resp, K>)
-    where
-        T: ConcurrentObject + 'static,
-        K: CommitSink<T> + Send + 'static,
-    {
-        Self::spawn_observed(token, cfg, sink, PipelineObs::disabled())
-    }
-
-    /// [`Pipeline::spawn_with_sink`] with a [`PipelineObs`] recorder on
-    /// the engine thread. The recorder handle is cloneable: keep one on
-    /// the caller side to read the registry / span ring while the
-    /// engine serves.
+    /// handle (clone it per client thread) and the engine handle. The
+    /// sink moves onto the engine thread (commit-stage callbacks run
+    /// there) and is returned by [`SinkedPipelineHandle::finish`]; pass
+    /// `()` for a volatile engine. The recorder handle is cloneable:
+    /// keep one on the caller side to read the registry / span ring
+    /// while the engine serves, or pass [`PipelineObs::disabled`].
     pub fn spawn_observed<T, K>(
         token: Arc<T>,
         cfg: PipelineConfig,
         mut sink: K,
         obs: PipelineObs,
-    ) -> (IntakeClient<T::Op>, SinkedPipelineHandle<T::Op, T::Resp, K>)
+    ) -> Spawned<T, K>
     where
         T: ConcurrentObject + 'static,
         K: CommitSink<T> + Send + 'static,
     {
         let (client, mut batcher) = intake(cfg.batch);
         let join = std::thread::spawn(move || {
-            let run = engine_loop(token.as_ref(), &mut batcher, &cfg, &mut sink, &obs);
-            (run, sink)
+            let mut core = EngineCore::new(cfg);
+            loop {
+                // The wait for a batch is itself a stage: it is the
+                // intake (queueing) component of an op's end-to-end
+                // latency.
+                let waiting_since = obs.now();
+                let Some(batch) = batcher.next_batch() else {
+                    break;
+                };
+                obs.record_stage(batch.seq, Stage::IntakeWait, waiting_since);
+                obs.sample_queue_depths(|i| batcher.shard_depth(i));
+                core.process_batch(
+                    token.as_ref(),
+                    batch.seq,
+                    &batch.ops,
+                    &batch.tickets,
+                    &mut sink,
+                    &obs,
+                );
+            }
+            (core.finish(&sink), sink)
         });
         (client, SinkedPipelineHandle { join })
     }
@@ -703,11 +549,16 @@ mod tests {
     fn spawned_engine_drains_and_commits_everything() {
         let initial = Erc20State::from_balances(vec![100; 4]);
         let token = Arc::new(ShardedErc20::from_state(initial.clone()));
-        let (client, handle) = Pipeline::spawn(Arc::clone(&token), small_cfg(8));
-        crossbeam::scope(|s| {
+        let (client, handle) = Pipeline::spawn_observed(
+            Arc::clone(&token),
+            small_cfg(8),
+            (),
+            PipelineObs::disabled(),
+        );
+        std::thread::scope(|s| {
             for t in 0..3usize {
                 let client = client.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..20 {
                         client
                             .submit(
@@ -721,10 +572,9 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("producers panicked");
+        });
         drop(client);
-        let run = handle.finish();
+        let (run, ()) = handle.finish();
         assert_eq!(run.stats.ops, 60);
         // Responses in the log are consistent with its linearization, and
         // the replayed state is exactly the token's final state.

@@ -9,9 +9,8 @@
 //! linearizability, and the result is deterministic even though the
 //! execution is parallel. The executor is standard-agnostic: it drives
 //! `T::apply` for whatever op alphabet the object serves. Waves too
-//! narrow to amortize a thread spawn run inline
-//! ([`ExecConfig::min_ops_per_worker`]); the serial lane always runs
-//! inline, in submission order.
+//! narrow to amortize a thread spawn (fewer than 32 ops per worker) run
+//! inline; the serial lane always runs inline, in submission order.
 //!
 //! **Wave fusion.** Consecutive waves wide enough for the pool are
 //! *fused*: the pool is spawned once for the whole run of waves and the
@@ -21,12 +20,12 @@
 //! (the barrier is exactly the old join point) — but a multi-wave batch
 //! pays one thread-spawn per run instead of one per wave.
 //!
-//! **Bypass execution.** [`execute_unordered`] is the adaptive-bypass
-//! fast path: for a batch the scheduler's probe has certified pairwise
-//! commuting, it applies the ops with *no* wave structure at all —
-//! chunked across the pool, no ordering between chunks — which is sound
-//! for exactly the same reason a wave is: commuting neighbors can be
-//! exchanged freely, so any interleaving linearizes in submission order.
+//! **Bypassed batches.** A batch the scheduler's probe certified
+//! pairwise commuting reaches the executor as a one-wave schedule in
+//! submission order, and runs like any other wave: chunked across the
+//! pool with no ordering between chunks. That is sound for exactly the
+//! reason any wave is — commuting neighbors can be exchanged freely, so
+//! every interleaving linearizes in submission order.
 
 use std::sync::Barrier;
 
@@ -35,21 +34,21 @@ use tokensync_spec::ProcessId;
 
 use crate::schedule::Schedule;
 
+/// A wave shorter than `workers × MIN_OPS_PER_WORKER` runs inline —
+/// spawning threads for a handful of ops costs more than it buys.
+const MIN_OPS_PER_WORKER: usize = 32;
+
 /// Worker-pool sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecConfig {
     /// Maximum threads per wave.
     pub workers: usize,
-    /// A wave shorter than `workers × min_ops_per_worker` runs inline —
-    /// spawning threads for a handful of ops costs more than it buys.
-    pub min_ops_per_worker: usize,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism().map_or(1, |c| c.get()),
-            min_ops_per_worker: 32,
         }
     }
 }
@@ -71,8 +70,7 @@ pub fn execute<T: ConcurrentObject + ?Sized>(
     // `None` placeholder; every scheduled index is filled below.
     let mut responses: Vec<Option<T::Resp>> = vec![None; ops.len()];
     let workers = cfg.workers.max(1);
-    let wide =
-        |wave: &Vec<usize>| workers > 1 && wave.len() >= workers * cfg.min_ops_per_worker.max(1);
+    let wide = |wave: &Vec<usize>| workers > 1 && wave.len() >= workers * MIN_OPS_PER_WORKER;
     let mut w = 0;
     while w < schedule.waves.len() {
         if !wide(&schedule.waves[w]) {
@@ -148,53 +146,6 @@ fn execute_fused<T: ConcurrentObject + ?Sized>(
     parts.into_iter().flatten().collect()
 }
 
-/// Executes a batch the scheduler's probe certified pairwise commuting,
-/// with no wave structure: ops are chunked contiguously across the pool
-/// and applied with no cross-chunk ordering. Responses come back in
-/// submission-index order, and — because every pair commutes — they are
-/// exactly the responses the submission-order sequential execution
-/// produces, at every state. Batches too small for the pool run inline.
-///
-/// This is the adaptive-bypass fast path; calling it on a batch with a
-/// conflicting pair forfeits that guarantee, which is why the engine
-/// only reaches it behind [`Scheduler::batch_commutes`].
-///
-/// [`Scheduler::batch_commutes`]: crate::schedule::Scheduler::batch_commutes
-///
-/// # Panics
-///
-/// Propagates panics from worker threads (a panicking object is a bug,
-/// not a recoverable condition).
-pub fn execute_unordered<T: ConcurrentObject + ?Sized>(
-    token: &T,
-    ops: &[(ProcessId, T::Op)],
-    cfg: &ExecConfig,
-) -> Vec<T::Resp> {
-    let workers = cfg.workers.max(1);
-    if workers == 1 || ops.len() < workers * cfg.min_ops_per_worker.max(1) {
-        return ops.iter().map(|(c, op)| token.apply(*c, op)).collect();
-    }
-    let chunk = ops.len().div_ceil(workers);
-    let parts = crossbeam::scope(|s| {
-        let handles: Vec<_> = ops
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move |_| {
-                    part.iter()
-                        .map(|(c, op)| token.apply(*c, op))
-                        .collect::<Vec<T::Resp>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bypass worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("bypass worker panicked");
-    parts.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +157,13 @@ mod tests {
     };
     use tokensync_spec::AccountId;
 
+    /// Accounts of the test token, 10 units each.
+    const ACCOUNTS: usize = 512;
+    /// Workers of the parallel runs.
+    const WORKERS: usize = 4;
+    /// The narrowest wave the parallel runs hand to the pool.
+    const POOL_WAVE: usize = WORKERS * MIN_OPS_PER_WORKER;
+
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
     }
@@ -213,40 +171,52 @@ mod tests {
         AccountId::new(i)
     }
 
-    fn run(ops: &[(ProcessId, Erc20Op)], workers: usize, min: usize) -> (Vec<Erc20Resp>, u64) {
-        let n = 64;
-        let token = ShardedErc20::from_state(Erc20State::from_balances(vec![10; n]));
-        let s = schedule(ops, &ScheduleConfig::default());
-        let responses = execute(
-            &token,
-            ops,
-            &s,
-            &ExecConfig {
-                workers,
-                min_ops_per_worker: min,
-            },
-        );
-        (responses, token.state_snapshot().total_supply())
+    fn token() -> ShardedErc20 {
+        ShardedErc20::from_state(Erc20State::from_balances(vec![10; ACCOUNTS]))
     }
 
-    #[test]
-    fn parallel_and_inline_paths_agree() {
-        let ops: Vec<(ProcessId, Erc20Op)> = (0..32)
+    fn run_plan(
+        ops: &[(ProcessId, Erc20Op)],
+        plan: &Schedule,
+        workers: usize,
+    ) -> (Vec<Erc20Resp>, Erc20State) {
+        let token = token();
+        let responses = execute(&token, ops, plan, &ExecConfig { workers });
+        (responses, token.state_snapshot())
+    }
+
+    fn run(ops: &[(ProcessId, Erc20Op)], workers: usize) -> (Vec<Erc20Resp>, u64) {
+        let s = schedule(ops, &ScheduleConfig::default());
+        let (responses, state) = run_plan(ops, &s, workers);
+        (responses, state.total_supply())
+    }
+
+    /// `POOL_WAVE` owner-disjoint transfers: one pool-worthy wave.
+    fn disjoint(value: impl Fn(usize) -> u64) -> Vec<(ProcessId, Erc20Op)> {
+        (0..POOL_WAVE)
             .map(|i| {
                 (
                     p(i),
                     Erc20Op::Transfer {
-                        to: a(32 + i),
-                        value: (i as u64) % 4,
+                        to: a(POOL_WAVE + i),
+                        value: value(i),
                     },
                 )
             })
-            .collect();
-        let (inline, s1) = run(&ops, 1, 1);
-        let (parallel, s2) = run(&ops, 4, 1);
+            .collect()
+    }
+
+    #[test]
+    fn parallel_and_inline_paths_agree() {
+        let ops = disjoint(|i| (i as u64) % 4);
+        let s = schedule(&ops, &ScheduleConfig::default());
+        assert_eq!(s.waves.len(), 1);
+        assert!(s.waves[0].len() >= POOL_WAVE, "wave must reach the pool");
+        let (inline, s1) = run(&ops, 1);
+        let (parallel, s2) = run(&ops, WORKERS);
         assert_eq!(inline, parallel, "wave determinism broken");
         assert_eq!(s1, s2);
-        assert_eq!(s1, 640);
+        assert_eq!(s1, 10 * ACCOUNTS as u64);
     }
 
     #[test]
@@ -261,89 +231,60 @@ mod tests {
                 },
             ),
         ];
-        let (resps, supply) = run(&ops, 8, 64);
+        let (resps, supply) = run(&ops, 8);
         assert_eq!(resps, vec![Erc20Resp::TRUE, Erc20Resp::FALSE]);
-        assert_eq!(supply, 640);
+        assert_eq!(supply, 10 * ACCOUNTS as u64);
     }
 
     #[test]
     fn fused_wave_runs_agree_with_inline_execution() {
         // Two full-width conflicting rounds: every source repeats, so the
-        // schedule has two consecutive waves of 16 ops each. With
-        // workers=4/min=1 both waves are pool-worthy and fuse under one
-        // scope (barrier at the boundary); the responses and final state
-        // must equal the single-threaded execution's.
-        let round = |r: u64| {
-            (0..16).map(move |i| {
-                (
-                    p(i),
-                    Erc20Op::Transfer {
-                        to: a(32 + i),
-                        value: 6 + r, // second round: 7 > 10 - 6 fails
-                    },
-                )
-            })
-        };
-        let ops: Vec<(ProcessId, Erc20Op)> = round(0).chain(round(1)).collect();
+        // schedule has two consecutive pool-worthy waves. Both fuse under
+        // one scope (barrier at the boundary); the responses and final
+        // state must equal the single-threaded execution's.
+        let ops: Vec<(ProcessId, Erc20Op)> = disjoint(|_| 6)
+            .into_iter()
+            .chain(disjoint(|_| 7)) // second round: 7 > 10 - 6 fails
+            .collect();
         let s = schedule(&ops, &ScheduleConfig::default());
         assert_eq!(s.waves.len(), 2, "rounds must stack into two waves");
-        let (inline, s1) = run(&ops, 1, 1);
-        let (fused, s2) = run(&ops, 4, 1);
+        assert!(s.waves.iter().all(|w| w.len() >= POOL_WAVE));
+        let (inline, s1) = run(&ops, 1);
+        let (fused, s2) = run(&ops, WORKERS);
         assert_eq!(inline, fused, "fused run diverged from inline");
         assert_eq!(s1, s2);
         // Round 1 succeeds, round 2 fails (insufficient funds): the
         // barrier kept wave order, otherwise some round-2 op could win.
-        assert!(inline[..16].iter().all(|r| *r == Erc20Resp::TRUE));
-        assert!(inline[16..].iter().all(|r| *r == Erc20Resp::FALSE));
+        assert!(inline[..POOL_WAVE].iter().all(|r| *r == Erc20Resp::TRUE));
+        assert!(inline[POOL_WAVE..].iter().all(|r| *r == Erc20Resp::FALSE));
     }
 
     #[test]
     fn unordered_execution_matches_sequential_on_commuting_batches() {
-        let ops: Vec<(ProcessId, Erc20Op)> = (0..24)
-            .map(|i| {
-                (
-                    p(i),
-                    Erc20Op::Transfer {
-                        to: a(32 + i),
-                        value: (i as u64) % 5,
-                    },
-                )
-            })
-            .collect();
-        let token = ShardedErc20::from_state(Erc20State::from_balances(vec![10; 64]));
-        let inline = execute_unordered(
-            &token,
-            &ops,
-            &ExecConfig {
-                workers: 1,
-                min_ops_per_worker: 1,
-            },
-        );
-        let token2 = ShardedErc20::from_state(Erc20State::from_balances(vec![10; 64]));
-        let parallel = execute_unordered(
-            &token2,
-            &ops,
-            &ExecConfig {
-                workers: 4,
-                min_ops_per_worker: 1,
-            },
-        );
+        // A bypassed batch is a one-wave plan: chunked across the pool
+        // with no cross-chunk order, it must match the single-worker
+        // (submission-order) execution response for response.
+        let ops = disjoint(|i| (i as u64) % 5);
+        let plan = Schedule::one_wave(ops.len());
+        let (inline, state1) = run_plan(&ops, &plan, 1);
+        let (parallel, state2) = run_plan(&ops, &plan, WORKERS);
         assert_eq!(inline, parallel);
-        assert_eq!(token.state_snapshot(), token2.state_snapshot());
+        assert_eq!(state1, state2);
     }
 
     #[test]
     fn executes_nft_waves_in_parallel() {
         // The same executor, a different standard: owner-disjoint NFT
         // transfers land in one wave and run across workers.
-        let nft = ShardedErc721::from_state(Erc721State::minted_round_robin(16, 64, 16));
-        let ops: Vec<(ProcessId, Erc721Op)> = (0..16)
+        let n = POOL_WAVE;
+        let nft = ShardedErc721::from_state(Erc721State::minted_round_robin(n, 2 * n, n));
+        let ops: Vec<(ProcessId, Erc721Op)> = (0..n)
             .map(|i| {
                 (
                     p(i),
                     Erc721Op::TransferFrom {
                         from: p(i),
-                        to: p((i + 1) % 16),
+                        to: p((i + 1) % n),
                         token: TokenId::new(i),
                     },
                 )
@@ -351,19 +292,11 @@ mod tests {
             .collect();
         let s = schedule(&ops, &ScheduleConfig::default());
         assert_eq!(s.waves.len(), 1);
-        let resps = execute(
-            &nft,
-            &ops,
-            &s,
-            &ExecConfig {
-                workers: 4,
-                min_ops_per_worker: 1,
-            },
-        );
+        let resps = execute(&nft, &ops, &s, &ExecConfig { workers: WORKERS });
         assert!(resps.iter().all(|r| *r == Erc721Resp::TRUE));
         let snap = nft.snapshot();
-        for i in 0..16 {
-            assert_eq!(snap.owner_of(TokenId::new(i)), Some(p((i + 1) % 16)));
+        for i in 0..n {
+            assert_eq!(snap.owner_of(TokenId::new(i)), Some(p((i + 1) % n)));
         }
     }
 }

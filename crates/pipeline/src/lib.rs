@@ -42,7 +42,8 @@
 //!   [`ConcurrentObject`](tokensync_core::shared::ConcurrentObject)
 //!   (the sharded million-account/million-token objects in production);
 //!   commutativity makes the result deterministic despite the
-//!   parallelism.
+//!   parallelism. A batch the adaptive bypass certifies all-commuting
+//!   is simply a one-wave plan through the same executor.
 //! * [`commit`] — the chosen linearization with recorded responses,
 //!   replayable against the standard's sequential
 //!   [`ObjectType`](tokensync_spec::ObjectType) oracle
@@ -52,7 +53,9 @@
 //!   and checkable with
 //!   [`check_linearizable`](tokensync_spec::check_linearizable).
 //! * [`engine`] — the assembled [`Pipeline`]: a synchronous
-//!   [`run_script`] for benchmarks/tests and a spawned serving loop.
+//!   [`run_script`] for benchmarks/tests and one spawned serving loop,
+//!   [`Pipeline::spawn_observed`]; both push every batch down the same
+//!   plan → execute → commit → seal path.
 //! * [`obs`] — the recorder seam: [`PipelineObs`] threads per-stage
 //!   latency histograms, queue-depth gauges, bypass counters and
 //!   sampled span traces (`tokensync-obs`) through the engine; the
@@ -126,9 +129,9 @@ pub use commit::{CommitLog, CommittedOp, ReplayDivergence};
 pub use dynamic_lane::{drive_dynamic, DynamicDriveReport};
 pub use engine::{
     run_script, run_script_observed, run_script_with_sink, CommitSink, Pipeline, PipelineConfig,
-    PipelineHandle, PipelineRun, PipelineStats, SinkedPipelineHandle, TeeSink,
+    PipelineRun, PipelineStats, SinkedPipelineHandle,
 };
-pub use exec::{execute, execute_unordered, ExecConfig};
+pub use exec::{execute, ExecConfig};
 pub use obs::PipelineObs;
 // The `schedule` *function* stays at `schedule::schedule` — re-exporting
 // it at the root would collide with the module of the same name.

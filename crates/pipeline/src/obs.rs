@@ -186,7 +186,7 @@ impl PipelineObs {
                 BatchClockInner {
                     obs,
                     batch,
-                    sampled: batch % obs.sample_every == 0,
+                    sampled: batch.is_multiple_of(obs.sample_every),
                     start: now,
                     last: now,
                 }
@@ -210,7 +210,7 @@ impl PipelineObs {
         };
         let dur = started.elapsed();
         obs.stage_ns[stage_slot(stage)].record(saturating_ns(dur));
-        if batch % obs.sample_every == 0 {
+        if batch.is_multiple_of(obs.sample_every) {
             obs.spans.push(SpanEvent {
                 batch,
                 stage,

@@ -75,6 +75,18 @@ pub struct Schedule {
 }
 
 impl Schedule {
+    /// The plan of a non-empty batch of `n` ops certified pairwise
+    /// commuting ([`Scheduler::batch_commutes`]): one wave holding every
+    /// op in submission order, no serial lane, no conflicts.
+    pub(crate) fn one_wave(n: usize) -> Self {
+        debug_assert!(n > 0, "an empty batch is never probed");
+        Self {
+            waves: vec![(0..n).collect()],
+            serial: Vec::new(),
+            conflicts: 0,
+        }
+    }
+
     /// Total scheduled operations.
     pub fn ops(&self) -> usize {
         self.waves.iter().map(Vec::len).sum::<usize>() + self.serial.len()

@@ -2,8 +2,8 @@
 //!
 //! The bypass speculates: while the conflict-density EWMA is low, each
 //! batch is *probed* ([`Scheduler::batch_commutes`]) and, if certified
-//! pairwise-commuting, executed unordered against the object with no
-//! wave machinery at all. These tests feed the engine batches built to
+//! pairwise-commuting, executed as one unordered wave with no wave
+//! construction at all. These tests feed the engine batches built to
 //! *defeat* that prediction — a disjoint prefix that looks exactly like
 //! the traffic that engages the bypass, followed by a conflicting tail —
 //! and demand that:
@@ -60,7 +60,7 @@ impl<T: ConcurrentObject + ?Sized> CommitSink<T> for RecordingSink {
     }
 }
 
-/// Runs `script` with the bypass enabled and verifies the full contract:
+/// Runs `script` through the engine and verifies the full contract:
 /// emission uniqueness, replay consistency, linearizability, final state
 /// and per-op responses against the submission-order sequential oracle.
 fn run_trapped<T, S>(
@@ -346,40 +346,6 @@ fn bypass_disengages_under_sustained_contention_and_recovers() {
         stats.bypassed_batches >= 1,
         "bypass must re-engage after the density decays, stats: {stats:?}"
     );
-}
-
-#[test]
-fn disabled_bypass_never_engages() {
-    let n = 32;
-    let initial = Erc20State::from_balances(vec![100; n]);
-    let token = ShardedErc20::from_state(initial.clone());
-    let script: Vec<(ProcessId, Erc20Op)> = (0..BATCH)
-        .map(|i| {
-            (
-                p(i),
-                Erc20Op::Transfer {
-                    to: a(16 + i),
-                    value: 1,
-                },
-            )
-        })
-        .collect();
-    let mut cfg = PipelineConfig {
-        batch: BatchConfig {
-            max_ops: BATCH,
-            ..BatchConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    cfg.bypass = false;
-    let mut sink = RecordingSink::default();
-    let run = run_script_with_sink(&token, &script, &cfg, &mut sink);
-    assert_eq!(run.stats.bypassed_batches, 0);
-    assert_eq!(run.stats.bypass_aborts, 0);
-    assert_eq!(run.stats.ops as usize, BATCH);
-    run.log
-        .replay(&Erc20Spec::new(initial))
-        .expect("scheduled path replays");
 }
 
 /// One adversarial ERC20 op mix: mostly-disjoint transfers with bursts

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
 use tokensync_core::shared::{ConcurrentToken, ShardedErc20};
-use tokensync_pipeline::{intake, BatchConfig, Pipeline, PipelineConfig};
+use tokensync_pipeline::{intake, BatchConfig, Pipeline, PipelineConfig, PipelineObs};
 use tokensync_spec::{AccountId, ProcessId};
 
 fn p(i: usize) -> ProcessId {
@@ -50,11 +50,11 @@ fn per_producer_fifo_survives_backpressure_stress() {
             max_wait: Duration::from_micros(200),
             queue_depth: 8, // shard cap 1 at 8 shards: maximal squeeze
             intake_shards: 8,
-            ..BatchConfig::default()
         },
         ..PipelineConfig::default()
     };
-    let (client, handle) = Pipeline::spawn(Arc::clone(&token), cfg);
+    let (client, handle) =
+        Pipeline::spawn_observed(Arc::clone(&token), cfg, (), PipelineObs::disabled());
     crossbeam::scope(|s| {
         for t in 0..P {
             let client = client.clone();
@@ -77,7 +77,7 @@ fn per_producer_fifo_survives_backpressure_stress() {
     })
     .expect("producers panicked");
     drop(client);
-    let run = handle.finish();
+    let (run, ()) = handle.finish();
     assert_eq!(run.stats.ops as usize, P * K, "ops lost in the intake");
 
     // Extract each producer's committed value sequence.
@@ -114,7 +114,6 @@ fn intake_buffering_is_bounded_by_queue_depth() {
         max_wait: Duration::from_millis(1),
         queue_depth: depth,
         intake_shards: shards,
-        ..BatchConfig::default()
     });
     // One handle per shard (clones assign round-robin).
     let handles: Vec<_> = (0..shards - 1).map(|_| client.clone()).collect();
@@ -134,9 +133,8 @@ fn intake_buffering_is_bounded_by_queue_depth() {
     );
     assert_eq!(batcher.queued(), depth);
     for h in &all {
-        assert_eq!(
-            h.try_submit(p(0), Erc20Op::TotalSupply).unwrap(),
-            false,
+        assert!(
+            !h.try_submit(p(0), Erc20Op::TotalSupply).unwrap(),
             "every shard must report full at the bound"
         );
     }
@@ -150,7 +148,6 @@ fn blocked_submit_unblocks_when_the_consumer_drains() {
         max_wait: Duration::from_millis(1),
         queue_depth: 1, // one shard, cap 1
         intake_shards: 1,
-        ..BatchConfig::default()
     });
     client.submit(p(0), Erc20Op::TotalSupply).unwrap();
     let submitted = Arc::new(AtomicBool::new(false));
@@ -183,7 +180,6 @@ fn producers_blocked_on_backpressure_fail_fast_on_shutdown() {
         max_wait: Duration::from_millis(1),
         queue_depth: 1,
         intake_shards: 1,
-        ..BatchConfig::default()
     });
     client.submit(p(0), Erc20Op::TotalSupply).unwrap();
     let producer = std::thread::spawn(move || {
@@ -213,11 +209,11 @@ fn interleaved_producers_still_linearize_through_the_engine() {
             max_wait: Duration::from_micros(500),
             queue_depth: 12,
             intake_shards: 3,
-            ..BatchConfig::default()
         },
         ..PipelineConfig::default()
     };
-    let (client, handle) = Pipeline::spawn(Arc::clone(&token), cfg);
+    let (client, handle) =
+        Pipeline::spawn_observed(Arc::clone(&token), cfg, (), PipelineObs::disabled());
     crossbeam::scope(|s| {
         for t in 0..P {
             let client = client.clone();
@@ -239,7 +235,7 @@ fn interleaved_producers_still_linearize_through_the_engine() {
     })
     .expect("producers panicked");
     drop(client);
-    let run = handle.finish();
+    let (run, ()) = handle.finish();
     assert_eq!(run.stats.ops as usize, P * K);
     let replayed = run
         .log

@@ -42,7 +42,6 @@ fn small_cfg(max_ops: usize) -> PipelineConfig {
             max_wait: Duration::from_millis(1),
             queue_depth: 256,
             intake_shards: 4,
-            ..BatchConfig::default()
         },
         ..PipelineConfig::default()
     }

@@ -1,5 +1,5 @@
-//! Accounting identities of [`PipelineStats`], locked down with the
-//! bypass off and on, on three contention regimes.
+//! Accounting identities of [`PipelineStats`], locked down on three
+//! contention regimes.
 //!
 //! The invariants:
 //!
@@ -13,16 +13,16 @@
 //!   whole batch, on the scheduled and the bypass path alike;
 //! * the sink sees every op exactly once (`entries == ops`) and every
 //!   batch seal exactly once (`seals == batches`);
-//! * with the bypass disabled, every bypass counter is zero;
-//! * the committed result is identical across both configs, and the
-//!   commit log replays against the sequential oracle.
+//! * the commit log replays against the sequential oracle, and the
+//!   committed state equals the oracle's submission-order replay of the
+//!   script.
 
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ConcurrentToken, ShardedErc20};
 use tokensync_pipeline::{
     run_script_with_sink, BatchConfig, CommitSink, CommittedOp, PipelineConfig, PipelineStats,
 };
-use tokensync_spec::{AccountId, ProcessId};
+use tokensync_spec::{AccountId, ObjectType, ProcessId};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -49,13 +49,12 @@ impl<T: ConcurrentObject + ?Sized> CommitSink<T> for CountingSink {
     }
 }
 
-fn cfg(max_ops: usize, bypass: bool) -> PipelineConfig {
+fn cfg(max_ops: usize) -> PipelineConfig {
     PipelineConfig {
         batch: BatchConfig {
             max_ops,
             ..BatchConfig::default()
         },
-        bypass,
         ..PipelineConfig::default()
     }
 }
@@ -115,78 +114,66 @@ fn hotrow_script(n: usize) -> (Erc20State, Vec<(ProcessId, Erc20Op)>) {
     (state, script)
 }
 
-/// Runs `script` with the bypass off and on, checks every identity, and
-/// returns the two runs' stats (bypass off first).
-fn check_matrix(
+/// Runs `script`, checks every identity, and returns the run's stats.
+fn check_identities(
     name: &str,
     state: &Erc20State,
     script: &[(ProcessId, Erc20Op)],
     max_ops: usize,
-) -> [PipelineStats; 2] {
+) -> PipelineStats {
     // One record per batch, each spanning the whole batch.
     let batch_lens: Vec<usize> = script.chunks(max_ops).map(<[_]>::len).collect();
-    let mut final_states = Vec::new();
-    let mut stats = Vec::new();
-    for bypass in [false, true] {
-        let case = format!("{name} bypass={bypass}");
-        let token = ShardedErc20::from_state(state.clone());
-        let mut sink = CountingSink::default();
-        let run = run_script_with_sink(&token, script, &cfg(max_ops, bypass), &mut sink);
-        let s = run.stats;
+    let token = ShardedErc20::from_state(state.clone());
+    let mut sink = CountingSink::default();
+    let run = run_script_with_sink(&token, script, &cfg(max_ops), &mut sink);
+    let s = run.stats;
 
-        // Route partition.
-        assert_eq!(s.ops, script.len() as u64, "{case}: ops");
-        assert_eq!(s.ops, s.parallel_ops + s.serial_ops, "{case}: partition");
-        assert_eq!(s.batches, batch_lens.len() as u64, "{case}: batches");
+    // Route partition.
+    assert_eq!(s.ops, script.len() as u64, "{name}: ops");
+    assert_eq!(s.ops, s.parallel_ops + s.serial_ops, "{name}: partition");
+    assert_eq!(s.batches, batch_lens.len() as u64, "{name}: batches");
 
-        // Bypass is a subset of the parallel route.
-        assert!(
-            s.bypassed_ops <= s.parallel_ops,
-            "{case}: bypass ⊆ parallel"
-        );
-        assert!(s.bypassed_batches <= s.batches, "{case}: bypass batches");
-        if !bypass {
-            assert_eq!(
-                (s.bypassed_batches, s.bypassed_ops, s.bypass_aborts),
-                (0, 0, 0),
-                "{case}: bypass off must count nothing"
-            );
-        }
-
-        // The sink saw exactly what the stats claim: every op once, one
-        // record and one seal per batch.
-        assert_eq!(sink.record_lens, batch_lens, "{case}: record per batch");
-        assert_eq!(
-            sink.record_lens.len() as u64,
-            s.commit_records,
-            "{case}: records"
-        );
-        assert_eq!(s.commit_records, s.batches, "{case}: records = batches");
-        assert_eq!(sink.seals, s.batches, "{case}: seals");
-
-        // The commit log replays against the sequential oracle.
-        let replayed = run
-            .log
-            .replay(&Erc20Spec::new(state.clone()))
-            .expect("consistent responses");
-        assert_eq!(replayed, token.state_snapshot(), "{case}: replay");
-
-        final_states.push((case, token.state_snapshot()));
-        stats.push(s);
-    }
-    // Same input, same committed state, regardless of config.
-    assert_eq!(
-        final_states[0].1, final_states[1].1,
-        "{} diverged from {}",
-        final_states[1].0, final_states[0].0
+    // Bypass is a subset of the parallel route.
+    assert!(
+        s.bypassed_ops <= s.parallel_ops,
+        "{name}: bypass ⊆ parallel"
     );
-    [stats[0], stats[1]]
+    assert!(s.bypassed_batches <= s.batches, "{name}: bypass batches");
+
+    // The sink saw exactly what the stats claim: every op once, one
+    // record and one seal per batch.
+    assert_eq!(sink.record_lens, batch_lens, "{name}: record per batch");
+    assert_eq!(
+        sink.record_lens.len() as u64,
+        s.commit_records,
+        "{name}: records"
+    );
+    assert_eq!(s.commit_records, s.batches, "{name}: records = batches");
+    assert_eq!(sink.seals, s.batches, "{name}: seals");
+
+    // The commit log replays against the sequential oracle.
+    let spec = Erc20Spec::new(state.clone());
+    let replayed = run.log.replay(&spec).expect("consistent responses");
+    assert_eq!(replayed, token.state_snapshot(), "{name}: replay");
+
+    // Same input, same committed state as the oracle running the script
+    // in submission order.
+    let mut oracle = spec.initial_state();
+    for (caller, op) in script {
+        spec.apply(&mut oracle, *caller, op);
+    }
+    assert_eq!(
+        token.state_snapshot(),
+        oracle,
+        "{name}: diverged from the submission-order oracle"
+    );
+    s
 }
 
 #[test]
 fn disjoint_regime_identities() {
     let (state, script) = disjoint_script(256);
-    let [_, bypassed] = check_matrix("disjoint", &state, &script, 64);
+    let bypassed = check_identities("disjoint", &state, &script, 64);
     // Fully disjoint traffic rides the bypass on every batch, and each
     // bypassed batch still commits as one whole-batch record.
     assert_eq!(bypassed.bypassed_batches, bypassed.batches);
@@ -195,24 +182,28 @@ fn disjoint_regime_identities() {
 #[test]
 fn mixed_regime_identities() {
     let (state, script) = mixed_script(300);
-    check_matrix("mixed", &state, &script, 64);
+    check_identities("mixed", &state, &script, 64);
 }
 
 #[test]
 fn hotrow_regime_identities() {
     let (state, script) = hotrow_script(256);
-    check_matrix("hotrow", &state, &script, 64);
+    let hot = check_identities("hotrow", &state, &script, 64);
+    // Every batch conflicts: the first probe aborts, the density gate
+    // then stops probing, and nothing is ever bypassed.
+    assert_eq!(hot.bypassed_batches, 0);
+    assert!(hot.bypass_aborts >= 1);
 }
 
 #[test]
 fn ragged_tail_batch_identities() {
     // A last batch smaller than max_ops must not skew any identity.
     let (state, script) = mixed_script(101);
-    check_matrix("ragged", &state, &script, 25);
+    check_identities("ragged", &state, &script, 25);
 }
 
 #[test]
 fn single_op_batches_identities() {
     let (state, script) = disjoint_script(7);
-    check_matrix("unit-batches", &state, &script, 1);
+    check_identities("unit-batches", &state, &script, 1);
 }

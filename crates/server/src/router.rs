@@ -230,7 +230,7 @@ impl Router {
 }
 
 /// The response-routing [`CommitSink`]: wraps the server's real
-/// durability sink (a `Store`, a tee, or the unit sink) and resolves
+/// durability sink (a `Store` or the unit sink) and resolves
 /// request tickets as their entries commit. Generic over the inner sink
 /// so ack semantics compose with any durability policy the engine runs.
 pub struct RouterSink<S> {

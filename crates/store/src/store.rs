@@ -63,7 +63,7 @@ impl Default for StoreConfig {
 ///
 /// The store *is* a [`CommitSink`]: hand it to
 /// [`run_script_with_sink`](tokensync_pipeline::run_script_with_sink)
-/// or [`Pipeline::spawn_with_sink`](tokensync_pipeline::Pipeline::spawn_with_sink)
+/// or [`Pipeline::spawn_observed`](tokensync_pipeline::Pipeline::spawn_observed)
 /// and every committed batch streams into the WAL as one record as it
 /// enters the commit log. A volatile run uses the unit sink `()`
 /// instead.

@@ -9,7 +9,9 @@ use std::sync::Arc;
 use common::{flip_byte, temp_dir, wal_segments};
 use tokensync_core::erc20::{Erc20Op, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
-use tokensync_pipeline::{run_script_with_sink, BatchConfig, Pipeline, PipelineConfig};
+use tokensync_pipeline::{
+    run_script_with_sink, BatchConfig, Pipeline, PipelineConfig, PipelineObs,
+};
 use tokensync_spec::{AccountId, ObjectType, ProcessId};
 use tokensync_store::{recover, Store, StoreConfig, StoreError};
 
@@ -435,7 +437,8 @@ fn spawned_engine_with_store_sink_is_durable() {
     let genesis = Erc20State::from_balances(vec![100; 4]);
     let token = Arc::new(ShardedErc20::from_state(genesis.clone()));
     let store: Store<ShardedErc20> = Store::create(&dir, &genesis, StoreConfig::default()).unwrap();
-    let (client, handle) = Pipeline::spawn_with_sink(Arc::clone(&token), cfg(8), store);
+    let (client, handle) =
+        Pipeline::spawn_observed(Arc::clone(&token), cfg(8), store, PipelineObs::disabled());
     crossbeam::scope(|s| {
         for t in 0..3usize {
             let client = client.clone();

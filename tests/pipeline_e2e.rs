@@ -15,7 +15,7 @@ use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20State};
 use tokensync::core::shared::{ConcurrentToken, ShardedErc20};
 use tokensync::net::dynamic::DynamicNetwork;
 use tokensync::pipeline::{
-    drive_dynamic, run_script, BatchConfig, Pipeline, PipelineConfig, ScheduleConfig,
+    drive_dynamic, run_script, BatchConfig, Pipeline, PipelineConfig, PipelineObs, ScheduleConfig,
 };
 use tokensync::spec::{check_linearizable, AccountId, ObjectType, ProcessId};
 
@@ -102,7 +102,8 @@ fn concurrent_clients_through_the_spawned_engine_linearize() {
         },
         ..PipelineConfig::default()
     };
-    let (client, handle) = Pipeline::spawn(Arc::clone(&token), cfg);
+    let (client, handle) =
+        Pipeline::spawn_observed(Arc::clone(&token), cfg, (), PipelineObs::disabled());
     crossbeam::scope(|s| {
         for t in 0..4usize {
             let client = client.clone();
@@ -128,7 +129,7 @@ fn concurrent_clients_through_the_spawned_engine_linearize() {
     })
     .expect("clients panicked");
     drop(client);
-    let run = handle.finish();
+    let (run, ()) = handle.finish();
     assert_eq!(run.stats.ops, 40);
     // The commit log is a genuine linearization of what the token did.
     let spec = Erc20Spec::new(initial);

@@ -21,7 +21,9 @@ use tokensync::core::standards::erc1155::{
 use tokensync::core::standards::erc721::{
     Erc721Op, Erc721Resp, Erc721Spec, Erc721State, ShardedErc721, TokenId,
 };
-use tokensync::pipeline::{run_script, BatchConfig, Pipeline, PipelineConfig, ScheduleConfig};
+use tokensync::pipeline::{
+    run_script, BatchConfig, Pipeline, PipelineConfig, PipelineObs, ScheduleConfig,
+};
 use tokensync::spec::{check_linearizable, AccountId, ObjectType, ProcessId};
 
 fn p(i: usize) -> ProcessId {
@@ -232,7 +234,8 @@ fn spawned_engine_serves_concurrent_nft_clients() {
         },
         ..PipelineConfig::default()
     };
-    let (client, handle) = Pipeline::spawn(Arc::clone(&nft), cfg);
+    let (client, handle) =
+        Pipeline::spawn_observed(Arc::clone(&nft), cfg, (), PipelineObs::disabled());
     crossbeam::scope(|s| {
         for t in 0..4usize {
             let client = client.clone();
@@ -259,7 +262,7 @@ fn spawned_engine_serves_concurrent_nft_clients() {
     })
     .expect("clients panicked");
     drop(client);
-    let run = handle.finish();
+    let (run, ()) = handle.finish();
     assert_eq!(run.stats.ops, 40);
     let spec = Erc721Spec::new(initial);
     let committed = run.log.replay(&spec).expect("responses consistent");
